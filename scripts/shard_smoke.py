@@ -1,5 +1,9 @@
 """Quick bit-identity probe: sharded vs unsharded on one config.
 
+Exits non-zero when any virtual-time metric differs or when the run
+fell back to fewer shards than requested (a fallback run is trivially
+identical, so it must not pass).
+
 Usage: PYTHONPATH=src python scripts/shard_smoke.py [shards]
 """
 
@@ -14,7 +18,7 @@ from repro.workloads import TileIOConfig, tile_io_program
 def run(shards):
     cfg = ExperimentConfig(
         nprocs=16, cores_per_node=2,
-        collective_mode="scoped:world=analytic,default=macro",
+        collective_mode="scoped",
         shards=shards)
     wl = TileIOConfig(tile_rows=64, tile_cols=48, element_size=64,
                       mode="both",
@@ -45,6 +49,11 @@ def main():
               f"{test.elapsed_total!r}")
     print(f"shard block: {test.perf.shard}")
     print("IDENTICAL" if not bad else f"MISMATCH ({bad})")
+    effective = test.perf.shard["effective"]
+    if effective != shards:
+        print(f"FALLBACK: ran {effective} shard(s), requested {shards}: "
+              f"{test.perf.shard['fallback_reason']}")
+        return 1
     return 1 if bad else 0
 
 

@@ -29,9 +29,9 @@ process pool (default 1 — serial, results are bit-identical either way);
 environment variables set the defaults (see
 :mod:`repro.harness.parallel`).
 
-``--collective-mode`` selects the collective-fidelity backend
-('analytic', 'detailed', or 'hybrid[:<cat>=<fidelity>,...]') for the
-figures whose sweeps support it; see :mod:`repro.simmpi.backends`.
+``--collective-mode`` selects the collective-fidelity policy for the
+figures whose sweeps support it: any spelling ``repro backends`` prints
+(:data:`repro.simmpi.backends.SPELLINGS`).
 
 ``--validate`` runs every experiment point under the
 :mod:`repro.validate` correctness oracle (``REPRO_VALIDATE=1`` sets the
@@ -50,6 +50,7 @@ import sys
 from typing import Callable, Optional
 
 from repro.harness import figures
+from repro.simmpi.backends import SPELLINGS
 
 FIGURES: dict[str, Callable] = {
     "1": figures.fig01_collective_wall,
@@ -416,8 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     p_fig.add_argument("--chart", action="store_true",
                        help="also render a terminal chart of the series")
     p_fig.add_argument("--collective-mode", default=None, metavar="SPEC",
-                       help="collective-fidelity backend for the sweep "
-                            "(analytic, detailed, hybrid[:<spec>])")
+                       help="collective-fidelity policy for the sweep: "
+                            + ", ".join(s for s, _ in SPELLINGS.values()))
     _add_parallel_flags(p_fig)
 
     p_all = sub.add_parser("figures", help="regenerate every figure")
@@ -597,11 +598,13 @@ def main(argv: list[str] | None = None) -> int:
         print(calibrate().summary())
         return 0
     if args.command == "backends":
-        from repro.simmpi.backends import (available_backends,
-                                           resolve_backend)
+        from repro.simmpi.backends import resolve_backend
 
-        for name in available_backends():
-            print(f"{name:>10}: {resolve_backend(name).describe()}")
+        for name, (syntax, summary) in SPELLINGS.items():
+            print(f"{syntax}\n    {summary}")
+            canonical = resolve_backend(name).describe()
+            if canonical != name:
+                print(f"    bare '{name}' is {canonical}")
         return 0
     if args.command == "protocols":
         from repro.mpiio.protocols import (available_protocols,

@@ -298,9 +298,10 @@ def fig09_scalability(procs: Sequence[int] = (32, 64, 128, 256),
     The paper plots the *best* ParColl point per process count; we try a
     couple of group-count candidates (around P/32 and P/16 — staying at
     or below the tile grid's row count keeps the partition direct) and
-    keep the winner.  ``collective_mode`` selects the fidelity backend
-    ('analytic', 'detailed', 'hybrid[:<spec>]'); the analytic/hybrid
-    backends are what make the large-rank end of this sweep affordable.
+    keep the winner.  ``collective_mode`` is any collective-fidelity
+    spelling (:data:`repro.simmpi.backends.SPELLINGS`); the analytic and
+    composite policies are what make the large-rank end of this sweep
+    affordable.
     The whole (process count x variant) grid evaluates as one executor
     batch — with ``jobs=N`` the candidates run concurrently.
     """
@@ -461,36 +462,3 @@ def fig11_flashio(nprocs: int = 64, ngroups: int = 8,
               "I/O collapses to ~60 MB/s",
     )
 
-
-# ---------------------------------------------------------------------------
-# Protocol zoo — leaderboard across every registered protocol
-# ---------------------------------------------------------------------------
-def fig_protocol_zoo(nprocs: int = 16, scale: str = "small",
-                     max_evals: int = 6,
-                     executor: Optional[ExperimentExecutor] = None
-                     ) -> FigureResult:
-    """Leaderboard: every registered collective protocol raced across the
-    workload patterns, tunable protocols golden-section tuned, with the
-    advisor's per-pattern pick (see :mod:`repro.analysis.protocol_zoo`)."""
-    from repro.analysis.protocol_zoo import protocol_zoo
-
-    board = protocol_zoo(nprocs=nprocs, scale=scale, max_evals=max_evals,
-                         executor=executor)
-    rows = []
-    for e in board.entries:
-        pick = board.picks.get(e.pattern)
-        rows.append([e.pattern, e.label,
-                     " ".join(f"{k}={v}" for k, v in e.hints.items()),
-                     round(e.write_mb_s, 1), round(e.read_mb_s, 1),
-                     round(100 * e.sync_share, 1),
-                     "best" if pick is e else ""])
-    return FigureResult(
-        figure="Protocol zoo",
-        title=f"collective-protocol leaderboard ({nprocs} procs)",
-        headers=["pattern", "protocol", "hints", "write MB/s", "read MB/s",
-                 "sync %", "pick"],
-        rows=rows,
-        series={"leaderboard": board.to_dict()},
-        notes="tunable protocols (parcoll, nodeagg+fa) enter at their "
-              "golden-section-tuned group count",
-    )

@@ -8,10 +8,10 @@ Three workloads exercise the optimized simulation core end to end:
 * ``flash_verified`` — Flash checkpoint with real bytes stored, so the
   run can be checked down to a file-content hash.
 
-Each entry builds the platform *manually* (not through
-``run_experiment``) so the Lustre file system handle stays reachable —
-verified-mode configs hash the actual file bytes, which is the strongest
-bit-identical-results check we have.  ``benchmarks/ref_hotpath.json``
+Each entry runs on the runner's single-engine path, which also hands
+back the Lustre file system — verified-mode configs hash the actual file
+bytes, which is the strongest bit-identical-results check we have.
+``benchmarks/ref_hotpath.json``
 records the metrics of every config as produced by the unoptimized
 pre-optimization engine; :func:`run_config` must keep matching it
 exactly.
@@ -29,8 +29,9 @@ import time
 from functools import partial
 from typing import Any, Optional
 
-from repro.harness.runner import ExperimentConfig
-from repro.perf import PerfStats, collect
+from repro.harness.runner import (ExperimentConfig, _run_single,
+                                  run_experiment)
+from repro.perf import PerfStats
 from repro.workloads import (BTIOConfig, FlashIOConfig, TileIOConfig,
                              btio_program, flash_io_program, tile_io_program)
 
@@ -95,28 +96,21 @@ def scale_config(nprocs: int = 4096) -> tuple[ExperimentConfig, Any, Any]:
 
 def run_scale(nprocs: int = 4096,
               collective_mode: Optional[str] = None) -> dict:
-    """Run the scale probe; returns metrics plus host wall seconds."""
+    """Run the scale probe; returns metrics plus host wall seconds of
+    the simulation itself (platform set-up excluded)."""
     cfg, _wl, program = scale_config(nprocs)
     if collective_mode is not None:
         cfg = dataclasses.replace(cfg, collective_mode=collective_mode)
-    world, fs, io = cfg.build()
-
-    def rank_main(comm):
-        stats = yield from program(comm, io)
-        return stats
-
-    t0 = time.perf_counter()
-    per_rank = world.launch(rank_main)
-    wall = time.perf_counter() - t0
-    events = world.engine.effects_dispatched
+    result = run_experiment(cfg, program)
+    wall = result.perf.wall_seconds
     return {
         "nprocs": nprocs,
         "wall_s": round(wall, 4),
-        "events": events,
-        "events_per_sec": round(events / wall, 1) if wall > 0 else 0.0,
-        "messages": world.network.messages_sent,
-        "elapsed_total": repr(world.engine.now),
-        "bytes_written": int(sum(s.bytes_written for s in per_rank)),
+        "events": result.events,
+        "events_per_sec": round(result.events / wall, 1) if wall else 0.0,
+        "messages": result.messages,
+        "elapsed_total": repr(result.elapsed_total),
+        "bytes_written": int(sum(s.bytes_written for s in result.per_rank)),
     }
 
 
@@ -152,8 +146,6 @@ def run_shard_scale(nprocs: int = 4096, shards: int = 1,
     dispatch (and its single-engine fallback) is part of what is being
     measured.  Returns virtual metrics plus host wall seconds and the
     run's shard observability block."""
-    from repro.harness.runner import run_experiment
-
     cfg, _wl, program = shard_scale_config(nprocs, shards)
     if collective_mode is not None:
         cfg = dataclasses.replace(cfg, collective_mode=collective_mode)
@@ -188,17 +180,9 @@ def run_config(name: str, smoke: bool = False,
     cfg, _wl, program = CONFIGS[name](smoke)
     if collective_mode is not None:
         cfg = dataclasses.replace(cfg, collective_mode=collective_mode)
-    world, fs, io = cfg.build()
-
-    def rank_main(comm):
-        stats = yield from program(comm, io)
-        return stats
-
-    t0 = time.perf_counter()
-    per_rank = world.launch(rank_main)
-    wall = time.perf_counter() - t0
+    res, fs = _run_single(cfg, program)
     if perf_out is not None:
-        perf_out.append(collect(world, wall_seconds=wall))
+        perf_out.append(res.perf)
     digest = ""
     if fs.params.store_data:
         h = hashlib.sha256()
@@ -207,22 +191,13 @@ def run_config(name: str, smoke: bool = False,
             h.update(fname.encode())
             h.update(f.store.snapshot().tobytes())
         digest = h.hexdigest()
-    from repro.harness.runner import RunResult
-    from repro.simmpi.timers import summarize
-
-    res = RunResult(config=cfg, per_rank=per_rank,
-                    breakdown=summarize(world.breakdowns),
-                    events=world.engine.effects_dispatched,
-                    messages=world.network.messages_sent,
-                    elapsed_total=world.engine.now,
-                    backend=world.collective_mode)
     return {
         "write_bandwidth": repr(res.write_bandwidth),
         "read_bandwidth": repr(res.read_bandwidth),
         "elapsed_total": repr(res.elapsed_total),
         "events": res.events,
         "messages": res.messages,
-        "bytes_written": int(sum(s.bytes_written for s in per_rank)),
+        "bytes_written": int(sum(s.bytes_written for s in res.per_rank)),
         "file_sha256": digest,
     }
 
@@ -244,8 +219,6 @@ def profile_config(name: str, smoke: bool = False, top: int = 25,
 
     perf_out: list = []
     if shards > 1:
-        from repro.harness.runner import run_experiment
-
         cfg, _wl, program = CONFIGS[name](smoke)
         cfg = dataclasses.replace(cfg, shards=shards)
 

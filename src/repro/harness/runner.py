@@ -23,12 +23,11 @@ class ExperimentConfig:
     :class:`NetworkParams` / :class:`LustreParams`; experiments default to
     model mode (no data bytes) so paper-scale runs stay cheap.
 
-    ``collective_mode`` is a collective-fidelity backend spec
-    (:mod:`repro.simmpi.backends`): ``analytic``, ``detailed``,
-    ``hybrid[:<category>=<fidelity>,...]`` for per-category selection —
-    the large-rank sweep configuration is
-    ``hybrid:sync=analytic,default=detailed`` — or
-    ``sizethreshold:<bytes>`` for size-dependent dispatch.
+    ``collective_mode`` is a collective-fidelity spec, any spelling in
+    :data:`repro.simmpi.backends.SPELLINGS`: ``analytic``, ``detailed``,
+    ``macro``, or a composite choosing among them per category
+    (``hybrid``), per declared size (``sizethreshold``) or per
+    communicator scope (``scoped``, the sharded-run configuration).
 
     ``faults`` is a :class:`~repro.faults.FaultPlan` (or its ``to_dict``
     mapping / event tuple); an empty plan is the default and leaves the
@@ -171,8 +170,6 @@ def run_experiment(config: ExperimentConfig, program: Program) -> RunResult:
     virtual-time metric to the unsharded run.  Non-conforming configs
     fall back to a single engine and record why in ``perf.shard``.
     """
-    import time
-
     plan = None
     if config.shards > 1:
         from repro.shard import analyze, workload_hints_of
@@ -182,6 +179,20 @@ def run_experiment(config: ExperimentConfig, program: Program) -> RunResult:
             from repro.shard.coordinator import run_sharded
 
             return run_sharded(config, program, plan)
+
+    result, _fs = _run_single(config, program)
+    if plan is not None:
+        from repro.shard.coordinator import shard_stats
+
+        result.perf.shard = shard_stats(plan)
+    return result
+
+
+def _run_single(config: ExperimentConfig,
+                program: Program) -> tuple[RunResult, LustreFS]:
+    """Run on one engine; also returns the file system, whose stored
+    bytes verified-mode callers hash."""
+    import time
 
     world, fs, io = config.build()
 
@@ -196,11 +207,6 @@ def run_experiment(config: ExperimentConfig, program: Program) -> RunResult:
     t0 = time.perf_counter()
     per_rank = world.launch(rank_main)
     wall = time.perf_counter() - t0
-    perf = collect(world, wall_seconds=wall)
-    if plan is not None:
-        from repro.shard.coordinator import shard_stats
-
-        perf.shard = shard_stats(plan)
     return RunResult(
         config=config,
         per_rank=per_rank,
@@ -209,7 +215,7 @@ def run_experiment(config: ExperimentConfig, program: Program) -> RunResult:
         messages=world.network.messages_sent,
         elapsed_total=world.engine.now,
         backend=world.collective_mode,
-        perf=perf,
+        perf=collect(world, wall_seconds=wall),
         validation=(io.validator.report.to_dict()
                     if io.validator is not None else None),
-    )
+    ), fs

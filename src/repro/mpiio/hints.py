@@ -64,10 +64,10 @@ class IOHints:
     #: work [13], realized with background tasks instead of threads —
     #: Catamount has none, which is why the paper could not use it)
     pipelined_io: bool = False
-    #: collective-fidelity backend for this file's collectives
-    #: ('analytic', 'detailed', 'hybrid[:<spec>]'); None inherits the
-    #: world's backend.  Every rank opens with the same hints, so the
-    #: override is installed symmetrically.
+    #: collective-fidelity policy for this file's collectives (any
+    #: spelling in :data:`repro.simmpi.backends.SPELLINGS`); None
+    #: inherits the world's policy.  Every rank opens with the same
+    #: hints, so the override is installed symmetrically.
     collective_mode: Optional[str] = None
     #: run the :mod:`repro.validate` correctness oracle on this file's
     #: operations: True forces validation on, False forces it off, None

@@ -176,8 +176,6 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
     forwarded = sum(int(s[1].sum()) for m, s in requests if m != comm.rank)
     if len(members) > 1:
         yield from _charge_memcpy(env, forwarded)
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
-    reply_reqs = []
     reply_batch: list = []
     my_piece: Optional[np.ndarray] = None
     for src, sub_segs in requests:
@@ -186,13 +184,8 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
         if src == comm.rank:
             my_piece = piece
             continue
-        payload = Payload(int(sub_segs[1].sum()), piece)
-        if use_batch:
-            reply_batch.append((src, payload))
-        else:
-            reply_reqs.append(comm.isend(payload, dest=src, tag=NA_REP_TAG))
-    if reply_batch:
-        reply_reqs = comm.isend_batch(reply_batch, tag=NA_REP_TAG)
+        reply_batch.append((src, Payload(int(sub_segs[1].sum()), piece)))
+    reply_reqs = comm.isend_batch(reply_batch, tag=NA_REP_TAG)
     if reply_reqs:
         yield from comm.waitall(reply_reqs, category="exchange")
     if my_piece is None and verified:

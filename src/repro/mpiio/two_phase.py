@@ -324,7 +324,6 @@ def collective_write(env: IOEnv, segs: Segments,
         raise MPIIOError("verified-mode collective write requires data")
 
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     pending: list = []
     node_info = None
     if env.hints.cb_node_consolidation:
@@ -355,7 +354,6 @@ def collective_write(env: IOEnv, segs: Segments,
         all_counts = yield from comm.alltoall(counts, nbytes_each=8,
                                               category="sync")
         # dispatch my pieces (local piece short-circuits the network)
-        reqs = []
         batch: list = []
         local_piece = None
         for a, sub in send_lists.items():
@@ -366,14 +364,9 @@ def collective_write(env: IOEnv, segs: Segments,
             if aggs[a] == comm.rank:
                 local_piece = (sub, piece_data)
                 continue
-            payload = Payload(nbytes, (sub[0], sub[1], piece_data))
-            if use_batch:
-                batch.append((aggs[a], payload))
-            else:
-                reqs.append(comm.isend(payload, dest=aggs[a],
-                                       tag=TP_TAG + rnd))
-        if batch:
-            reqs = comm.isend_batch(batch, tag=TP_TAG + rnd)
+            batch.append((aggs[a], Payload(nbytes,
+                                           (sub[0], sub[1], piece_data))))
+        reqs = comm.isend_batch(batch, tag=TP_TAG + rnd)
         if my_idx >= 0:
             yield from _aggregate_and_write(env, all_counts, local_piece,
                                             rnd, memcpy_bw, pending)
@@ -507,7 +500,6 @@ def collective_read(env: IOEnv, segs: Segments,
     out = np.empty(total, dtype=np.uint8) if verified else None
 
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     plan = plan_rounds(segs, aggs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
@@ -519,7 +511,6 @@ def collective_read(env: IOEnv, segs: Segments,
         # send my request lists to remote aggregators (translated if needed)
         sent_lists = (want_lists if translate is None
                       else {a: translate(sub) for a, sub in want_lists.items()})
-        req_reqs = []
         req_batch: list = []
         local_want = None
         for a, sub in sent_lists.items():
@@ -527,14 +518,8 @@ def collective_read(env: IOEnv, segs: Segments,
                 local_want = sub
                 continue
             nbytes = SEG_HEADER_BYTES * sub[0].size
-            payload = Payload(nbytes, (sub[0], sub[1]))
-            if use_batch:
-                req_batch.append((aggs[a], payload))
-            else:
-                req_reqs.append(comm.isend(payload, dest=aggs[a],
-                                           tag=TP_TAG + rnd))
-        if req_batch:
-            req_reqs = comm.isend_batch(req_batch, tag=TP_TAG + rnd)
+            req_batch.append((aggs[a], Payload(nbytes, (sub[0], sub[1]))))
+        req_reqs = comm.isend_batch(req_batch, tag=TP_TAG + rnd)
         local_reply = None
         reply_reqs: list = []
         if my_idx >= 0:
@@ -600,8 +585,6 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     verified = union_data is not None
     # replies go out as isends: a blocking (rendezvous) send here could
     # deadlock against a requester still waiting on another aggregator
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
-    reply_reqs = []
     reply_batch: list = []
     for src, sub in requests:
         piece = (extract_data(union, union_prefix, union_data, sub)
@@ -609,13 +592,5 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
         if src == comm.rank:
             local_reply = piece
             continue
-        reply_bytes = int(sub[1].sum())
-        payload = Payload(reply_bytes, piece)
-        if use_batch:
-            reply_batch.append((src, payload))
-        else:
-            reply_reqs.append(comm.isend(payload, dest=src,
-                                         tag=REPLY_TAG + rnd))
-    if reply_batch:
-        reply_reqs = comm.isend_batch(reply_batch, tag=REPLY_TAG + rnd)
-    return local_reply, reply_reqs
+        reply_batch.append((src, Payload(int(sub[1].sum()), piece)))
+    return local_reply, comm.isend_batch(reply_batch, tag=REPLY_TAG + rnd)

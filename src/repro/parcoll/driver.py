@@ -17,7 +17,7 @@ communicator participate):
    demands it.
 
 ParColl needs no macro-coalescing code of its own: subgroup
-communicators inherit the parent's :class:`CollectiveBackend`, so under
+communicators inherit the parent's fidelity policy, so under
 the ``macro`` exchange fidelity the per-subgroup ext2ph shuffle rides
 the same batched transfer schedules (``Communicator.isend_batch``) and
 macro collective rounds as the flat protocol.

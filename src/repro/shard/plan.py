@@ -27,8 +27,9 @@ The contract:
 * a shard's rank range covers whole nodes (``cores_per_node`` divides
   the ranks per shard), so NIC/CPU :class:`FIFOResource` state is never
   shared across shards;
-* world-spanning collectives run at the ``analytic`` fidelity (the
-  ``analytic`` backend, or ``scoped:`` with ``world=analytic``), because
+* the fidelity policy gives ``analytic`` to every world-communicator
+  collective (``analytic``, ``scoped`` with ``world=analytic``, or any
+  other spelling whose world-reachable rules all pick it), because
   only analytic synchronization sites can be bridged across engines by
   merging (value, arrival) sets — per-message detailed traffic cannot;
 * no torus topology: torus links are machine-global resources with no
@@ -45,6 +46,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
+
+from repro.errors import MPIError
+from repro.simmpi.backends import resolve_backend
 
 
 @dataclass(frozen=True)
@@ -93,18 +97,6 @@ def workload_hints_of(program: Any) -> Mapping[str, Any]:
     return {}
 
 
-def _world_fidelity_is_analytic(mode: str) -> bool:
-    """True when world-spanning collectives resolve to 'analytic'."""
-    if mode == "analytic":
-        return True
-    if mode.startswith("scoped:"):
-        parts = dict(
-            kv.split("=", 1) for kv in mode[len("scoped:"):].split(",") if kv
-        )
-        return parts.get("world") == "analytic"
-    return False
-
-
 def analyze(config: Any, workload_hints: Optional[Mapping[str, Any]] = None
             ) -> ShardPlan:
     """Decide whether ``config`` can run sharded; never raises.
@@ -150,11 +142,15 @@ def analyze(config: Any, workload_hints: Optional[Mapping[str, Any]] = None
             f"shard, {config.cores_per_node} cores per node)")
     if config.use_torus:
         return fallback("torus links are machine-global resources")
-    if not _world_fidelity_is_analytic(config.collective_mode):
+    try:
+        world_fids = resolve_backend(config.collective_mode).world_fidelities()
+    except MPIError as exc:
+        return fallback(f"collective_mode: {exc}")
+    if world_fids != {"analytic"}:
         return fallback(
             f"collective_mode {config.collective_mode!r} runs "
             "world-spanning collectives per-message; bridging needs "
-            "'analytic' or 'scoped:world=analytic,...'")
+            "every world collective at 'analytic' (e.g. 'scoped')")
     return ShardPlan(shards=shards, effective=shards,
                      groups_per_shard=ngroups // shards,
                      ranks_per_shard=ranks_per_shard)

@@ -4,25 +4,27 @@ Provides communicators with MPI matching semantics (source/tag/context,
 wildcards, FIFO per peer), eager and rendezvous point-to-point protocols
 timed through the :mod:`repro.cluster` network model, and the collective
 operations collective I/O depends on (barrier, bcast, reduce, allreduce,
-gather(v), allgather(v), alltoall(v), scan) behind pluggable
-collective-fidelity backends (:mod:`repro.simmpi.backends`):
+gather(v), allgather(v), alltoall(v), scan) behind a collective-fidelity
+policy (:mod:`repro.simmpi.backends`) that picks, per call:
 
 * ``detailed`` — collectives run their real message schedules
   (dissemination barrier, binomial trees, recursive doubling, ring,
   pairwise exchange) as simulated point-to-point traffic;
+* ``macro`` — the same schedules replayed in closed form, bit-identical
+  to ``detailed``;
 * ``analytic`` — a collective is a synchronization site whose exit time is
   ``max(entry times) + LogP-style cost``; used for large-scale sweeps and
-  validated against ``detailed`` in tests and an ablation benchmark;
-* ``hybrid`` — per-category fidelity selection
-  (``hybrid:sync=analytic,exchange=detailed,io=detailed``), so the
-  collective wall can be modeled analytically while everything else keeps
-  full message fidelity.
+  validated against ``detailed`` in tests and an ablation benchmark.
+
+Composite spellings (``hybrid``, ``sizethreshold``, ``scoped``) choose
+among them by category, declared size or communicator scope, so the
+collective wall can be modeled analytically while everything else keeps
+full message fidelity.
 
 Rank programs are generators; every blocking call is ``yield from``.
 """
 
-from repro.simmpi.backends import (CollectiveBackend, HybridBackend,
-                                   available_backends, register_backend,
+from repro.simmpi.backends import (FidelityPolicy, available_backends,
                                    resolve_backend)
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import MAX, MIN, PROD, SUM, ReduceOp
@@ -33,10 +35,8 @@ __all__ = [
     "World",
     "Communicator",
     "Proc",
-    "CollectiveBackend",
-    "HybridBackend",
+    "FidelityPolicy",
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "Payload",
     "sizeof",

@@ -1,7 +1,7 @@
 """LogP-style analytic cost model for collective operations.
 
-Used by the ``analytic`` collective backend (and by ``hybrid`` for the
-categories it maps to it): a collective becomes a synchronization site
+Used by every collective a fidelity policy runs at ``analytic``
+(:mod:`repro.simmpi.backends`): a collective becomes a synchronization site
 whose exit time is ``max(entry times) + cost(op, p, sizes)``.  The
 formulas follow the standard algorithms MPICH/ROMIO uses (binomial trees,
 recursive doubling, pairwise exchange), so detailed and analytic modes
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from repro.cluster.network import NetworkParams
-from repro.simmpi.backends import _LeafBackend, register_backend
 
 
 def _olg(params: NetworkParams) -> tuple[float, float, float]:
@@ -104,11 +103,3 @@ def scan_cost(params: NetworkParams, p: int, nbytes: int) -> float:
     o, lat, g = _olg(params)
     return log2ceil(p) * (o + lat + nbytes * g)
 
-
-class AnalyticBackend(_LeafBackend):
-    """Every collective is a LogP synchronization site (no messages)."""
-
-    name = "analytic"
-
-
-register_backend(AnalyticBackend.name, AnalyticBackend.from_spec, leaf=True)

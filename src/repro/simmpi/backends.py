@@ -1,357 +1,201 @@
-"""Pluggable collective-fidelity backends.
+"""Collective-fidelity policy: which execution path each collective takes.
 
-A :class:`CollectiveBackend` decides, per collective invocation, which
-execution path runs: the ``analytic`` LogP site model (cheap — one
-synchronization event per collective) or the ``detailed`` message-schedule
-model (faithful — every tree/ring/pairwise message is simulated).  The
-``hybrid`` backend picks a fidelity *per collective category* (the same
-'sync' / 'exchange' / 'io' labels the time breakdown uses), so a sweep can
-run its synchronization collectives analytically while anything it cares
-about stays detailed — the per-phase cost separation ParColl's ext2ph
-breakdown is built on.
+Every collective invocation runs at one of three fidelities:
 
-Implementations register themselves here (see
-:mod:`repro.simmpi.analytic` and
-:mod:`repro.simmpi.collectives_detailed`); call sites resolve them by
-spec string only:
+``analytic``
+    the LogP site model (:mod:`repro.simmpi.analytic`) — one
+    synchronization event per collective, no messages;
+``detailed``
+    the message schedule (:mod:`repro.simmpi.collectives_detailed`) —
+    every tree/ring/pairwise message is simulated;
+``macro``
+    the detailed schedule replayed in closed form by the round walker
+    (:mod:`repro.simmpi.collectives_macro`), bit-identical to
+    ``detailed``; exchange rounds also coalesce their sends
+    (:meth:`~repro.simmpi.world.Communicator.isend_batch`).
 
-``"analytic"``
-    every collective uses the LogP site model;
-``"detailed"``
-    every collective runs its message schedule;
-``"hybrid"``
-    per-category selection with the default table
-    ``sync=analytic``, everything else ``detailed``;
-``"hybrid:sync=analytic,exchange=detailed,io=detailed"``
-    explicit per-category table; a ``default=<fidelity>`` entry sets the
-    fidelity of categories not listed.
+A :class:`FidelityPolicy` is an ordered table of :class:`Rule` rows plus
+a default fidelity: the first rule matching a call's time-accounting
+category ('sync' / 'exchange' / 'io' — the labels the breakdown uses),
+declared per-rank size and communicator scope (world versus derived)
+picks the fidelity.  Policies are built from spec strings only, by
+:func:`resolve_backend`; :data:`SPELLINGS` lists every accepted spelling.
+``hybrid`` is the per-phase cost separation ParColl's ext2ph breakdown
+is built on; ``scoped`` is the world-versus-FA-subgroup split the
+sharded DES needs (:mod:`repro.shard.plan`).
 
 All ranks must run any given collective through the same fidelity — a
-backend is world-global or installed symmetrically on every rank's handle
-(``Communicator.with_backend``, the ``collective_mode`` I/O hint), exactly
-like the MPI requirement that collectives match across ranks.
+policy is world-global or installed symmetrically on every rank's handle
+(``Communicator.with_backend``, the ``collective_mode`` I/O hint),
+exactly like the MPI requirement that collectives match across ranks.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import MPIError
 
+#: the execution paths a rule can pick
+FIDELITIES = ("analytic", "detailed", "macro")
 
-class CollectiveBackend:
-    """Chooses the execution fidelity of each collective invocation."""
+#: spelling -> (syntax, what it selects); the CLI prints this table
+SPELLINGS: dict[str, tuple[str, str]] = {
+    "analytic": ("analytic", "every collective is a LogP synchronization "
+                 "site (no messages)"),
+    "detailed": ("detailed", "every collective runs its message schedule"),
+    "macro": ("macro", "synchronizing collectives replay their schedule "
+              "in closed form; exchange sends coalesce"),
+    "hybrid": ("hybrid[:<category>=<fidelity>,...][,default=<fidelity>]",
+               "per time-accounting category (sync/exchange/io); "
+               "unlisted categories take the default"),
+    "sizethreshold": ("sizethreshold[:<bytes>][,below=<fidelity>]"
+                      "[,above=<fidelity>]",
+                      "by declared per-rank size: 'above' at or over "
+                      "<bytes>, 'below' under it or when undeclared"),
+    "scoped": ("scoped[:world=<fidelity>][,default=<fidelity>]",
+               "world-communicator collectives at one fidelity, derived "
+               "communicators (FA subgroups) at another"),
+}
 
-    #: registry name of this backend (set by subclasses)
-    name: str = "?"
+#: ``sizethreshold`` bound when the spec gives none
+_DEFAULT_THRESHOLD = 64 << 10
+#: options a bare composite spelling stands for
+_BARE = {"hybrid": "sync=analytic,default=detailed",
+         "sizethreshold": "",
+         "scoped": "world=analytic,default=macro"}
+#: option keys each composite accepts (None: any category name), with
+#: the fidelities of keys a spec leaves out
+_KEYS: dict[str, tuple[Optional[tuple[str, ...]], dict[str, str]]] = {
+    "hybrid": (None, {"default": "detailed"}),
+    "sizethreshold": (("below", "above"),
+                      {"below": "detailed", "above": "analytic"}),
+    "scoped": (("world", "default"), {"world": "analytic",
+                                      "default": "macro"}),
+}
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One row of a policy: the calls it matches run at ``fidelity``."""
+
+    fidelity: str
+    #: time-accounting category of the call; None matches any
+    category: Optional[str] = None
+    #: smallest declared per-rank size that matches; None matches any
+    #: size, and an undeclared size never meets a bound — introspected
+    #: payloads are the small control-plane messages, and rank-local
+    #: sizing must not steer dispatch
+    min_bytes: Optional[int] = None
+    #: match only collectives issued on the world communicator
+    #: (context 0); call sites without a communicator count as derived
+    world: bool = False
+
+    def matches(self, category: str, nbytes: Optional[int], comm) -> bool:
+        return ((self.category is None or self.category == category)
+                and (self.min_bytes is None
+                     or (nbytes is not None and nbytes >= self.min_bytes))
+                and (not self.world
+                     or (comm is not None and comm.desc.ctx == 0)))
+
+
+@dataclass(frozen=True)
+class FidelityPolicy:
+    """Ordered rule table choosing the fidelity of each collective."""
+
+    rules: tuple[Rule, ...]
+    default: str
+    #: canonical spec string; :func:`resolve_backend` rebuilds the policy
+    spec: str
 
     def fidelity(self, category: str, nbytes: Optional[int] = None,
                  comm=None) -> str:
-        """Leaf fidelity ('analytic' / 'detailed') for one collective.
+        """Fidelity for one collective.
 
-        ``category`` is the time-accounting category the call site charges
-        the collective to ('sync', 'exchange', 'io', ...); ``nbytes`` is
-        the caller-declared per-rank message size, or None when the call
-        site sized the payload by introspection.  ``comm`` is the issuing
-        communicator (or None from call sites that predate it) — scope
-        backends dispatch on its (rank-symmetric) identity, e.g. world
-        versus derived subgroup.  Implementations must return the same
-        fidelity on every rank for one collective — dispatch only on
-        these (rank-symmetric) arguments.
+        ``category`` is the time-accounting category the call site
+        charges the collective to; ``nbytes`` the caller-declared
+        per-rank message size (None when the call site sized the payload
+        by introspection); ``comm`` the issuing communicator.  All three
+        are rank-symmetric, so every rank gets the same answer.
         """
-        raise NotImplementedError
+        for rule in self.rules:
+            if rule.matches(category, nbytes, comm):
+                return rule.fidelity
+        return self.default
+
+    def world_fidelities(self) -> frozenset[str]:
+        """Every fidelity a world-communicator collective can get."""
+        out = set()
+        for rule in self.rules:
+            out.add(rule.fidelity)
+            if rule.category is None and rule.min_bytes is None:
+                return frozenset(out)  # later rows are unreachable
+        return frozenset(out | {self.default})
 
     def describe(self) -> str:
-        """Canonical spec string that reconstructs this backend."""
-        return self.name
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.describe()!r}>"
-
-
-#: name -> factory(option string after ':') -> backend instance
-_REGISTRY: dict[str, Callable[[str], CollectiveBackend]] = {}
-#: leaf fidelity names usable as hybrid per-category targets
-_LEAF_FIDELITIES: set[str] = set()
-
-
-def register_backend(name: str, factory: Callable[[str], CollectiveBackend],
-                     leaf: bool = False) -> None:
-    """Register a backend factory under ``name``.
-
-    ``leaf`` marks the backend as a terminal fidelity that composite
-    backends (hybrid) may select per category.
-    """
-    _REGISTRY[name] = factory
-    if leaf:
-        _LEAF_FIDELITIES.add(name)
-
-
-def _ensure_builtins() -> None:
-    """Import the fidelity modules so their registrations run."""
-    import repro.simmpi.analytic  # noqa: F401  (registers 'analytic')
-    import repro.simmpi.collectives_detailed  # noqa: F401  ('detailed')
-    import repro.simmpi.collectives_macro  # noqa: F401  ('macro')
+        return self.spec
 
 
 def available_backends() -> tuple[str, ...]:
-    _ensure_builtins()
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(SPELLINGS))
 
 
-def leaf_fidelities() -> tuple[str, ...]:
-    _ensure_builtins()
-    return tuple(sorted(_LEAF_FIDELITIES))
-
-
-def resolve_backend(spec: Union[str, CollectiveBackend]) -> CollectiveBackend:
-    """Turn a spec string (or a ready backend) into a backend instance."""
-    if isinstance(spec, CollectiveBackend):
-        return spec
+def resolve_backend(spec: str) -> FidelityPolicy:
+    """Parse any spelling in :data:`SPELLINGS` into its rule table."""
     if not isinstance(spec, str):
-        raise MPIError(
-            f"collective backend spec must be a string or a "
-            f"CollectiveBackend, got {type(spec).__name__}"
-        )
-    _ensure_builtins()
+        raise MPIError(f"collective backend spec must be a string, got "
+                       f"{type(spec).__name__}")
     name, _, options = spec.partition(":")
-    factory = _REGISTRY.get(name)
-    if factory is None:
+    if name not in SPELLINGS:
         raise MPIError(
             f"unknown collective backend {name!r}; registered backends: "
-            f"{', '.join(available_backends())}"
-        )
-    return factory(options)
-
-
-def _reject_options(name: str, options: str) -> None:
-    if options:
-        raise MPIError(
-            f"collective backend {name!r} takes no options, "
-            f"got {options!r}"
-        )
-
-
-class _LeafBackend(CollectiveBackend):
-    """A single-fidelity backend: every category runs the same path."""
-
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
-        return self.name
-
-    @classmethod
-    def from_spec(cls, options: str) -> "_LeafBackend":
-        _reject_options(cls.name, options)
-        return cls()
-
-
-class HybridBackend(CollectiveBackend):
-    """Per-category fidelity selection.
-
-    ``table`` maps category names to leaf fidelities; ``default`` covers
-    categories not in the table.  The default configuration —
-    ``sync`` analytic, everything else detailed — targets the common
-    large-sweep shape: the per-round count exchanges and barriers that
-    form the collective wall are modeled analytically, while collectives
-    a workload explicitly charges elsewhere keep full message fidelity.
-    """
-
-    name = "hybrid"
-    DEFAULT_TABLE = {"sync": "analytic"}
-    DEFAULT_FIDELITY = "detailed"
-
-    def __init__(self, table: Optional[dict[str, str]] = None,
-                 default: Optional[str] = None):
-        _ensure_builtins()
-        self._table = dict(self.DEFAULT_TABLE if table is None else table)
-        self._default = self.DEFAULT_FIDELITY if default is None else default
-        for cat, fid in [*self._table.items(), ("default", self._default)]:
-            if fid not in _LEAF_FIDELITIES:
-                raise MPIError(
-                    f"hybrid fidelity for {cat!r} must be one of "
-                    f"{leaf_fidelities()}, got {fid!r}"
-                )
-
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
-        return self._table.get(category, self._default)
-
-    def describe(self) -> str:
-        parts = [f"{c}={f}" for c, f in sorted(self._table.items())]
-        parts.append(f"default={self._default}")
-        return f"{self.name}:{','.join(parts)}"
-
-    @classmethod
-    def from_spec(cls, options: str) -> "HybridBackend":
-        """Parse ``sync=analytic,exchange=detailed,default=detailed``."""
-        if not options:
-            return cls()
-        table: dict[str, str] = {}
-        default = None
-        for item in options.split(","):
-            key, sep, fid = item.partition("=")
-            key, fid = key.strip(), fid.strip()
-            if not sep or not key or not fid:
-                raise MPIError(
-                    f"malformed hybrid backend entry {item!r}; expected "
-                    "'category=fidelity' (e.g. 'hybrid:sync=analytic,"
-                    "exchange=detailed')"
-                )
-            if key == "default":
-                default = fid
-            else:
-                table[key] = fid
-        return cls(table=table, default=default)
-
-
-register_backend(HybridBackend.name, HybridBackend.from_spec)
-
-
-class SizeThresholdBackend(CollectiveBackend):
-    """Size-dependent fidelity: small collectives detailed, large analytic.
-
-    The ROADMAP's observation: detailed message schedules matter most for
-    small collectives, where per-message overheads and tree shape
-    dominate, while large transfers are bandwidth-bound and the analytic
-    LogP cost converges to the schedule's answer — so a sweep can keep
-    fidelity where it pays and speed where it doesn't.
-    ``sizethreshold:<bytes>`` runs the ``below`` fidelity (default
-    detailed) when the declared size is under ``<bytes>`` and the
-    ``above`` fidelity (default analytic) at or over it.  Collectives
-    with no declared size (None) take the ``below`` path: introspected
-    payloads are exactly the small control-plane messages the detailed
-    model exists for, and rank-local sizing must not steer dispatch.
-
-    ``benchmarks/bench_sizethreshold_calibration.py`` picks ``<bytes>``
-    empirically by comparing analytic and detailed schedules across
-    sizes.
-    """
-
-    name = "sizethreshold"
-    DEFAULT_THRESHOLD = 64 << 10
-
-    def __init__(self, threshold: int = DEFAULT_THRESHOLD,
-                 below: str = "detailed", above: str = "analytic"):
-        _ensure_builtins()
-        if threshold <= 0:
-            raise MPIError(
-                f"sizethreshold: threshold must be > 0 bytes, got {threshold}")
-        for role, fid in (("below", below), ("above", above)):
-            if fid not in _LEAF_FIDELITIES:
-                raise MPIError(
-                    f"sizethreshold {role!r} fidelity must be one of "
-                    f"{leaf_fidelities()}, got {fid!r}"
-                )
-        self.threshold = int(threshold)
-        self.below = below
-        self.above = above
-
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
-        if nbytes is None or nbytes < self.threshold:
-            return self.below
-        return self.above
-
-    def describe(self) -> str:
-        out = f"{self.name}:{self.threshold}"
-        if self.below != "detailed":
-            out += f",below={self.below}"
-        if self.above != "analytic":
-            out += f",above={self.above}"
-        return out
-
-    @classmethod
-    def from_spec(cls, options: str) -> "SizeThresholdBackend":
-        """Parse ``<bytes>[,below=<fid>][,above=<fid>]``."""
-        if not options:
-            return cls()
-        parts = options.split(",")
-        kwargs: dict = {}
-        head = parts[0].strip()
-        rest = parts[1:]
-        if head and "=" not in head:
+            f"{', '.join(available_backends())}")
+    if name in FIDELITIES:
+        if options:
+            raise MPIError(f"collective backend {name!r} takes no options, "
+                           f"got {options!r}")
+        return FidelityPolicy((), name, name)
+    items = (options or _BARE[name]).split(",")
+    threshold = _DEFAULT_THRESHOLD
+    if name == "sizethreshold" and "=" not in items[0]:
+        head = items.pop(0).strip()
+        if head:
             try:
-                kwargs["threshold"] = int(head)
+                threshold = int(head)
             except ValueError:
-                raise MPIError(
-                    f"sizethreshold: expected an integer byte threshold, "
-                    f"got {head!r}"
-                ) from None
-        elif head:
-            rest = parts
-        for item in rest:
-            key, sep, val = item.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or key not in ("below", "above") or not val:
-                raise MPIError(
-                    f"malformed sizethreshold option {item!r}; expected "
-                    "'sizethreshold:<bytes>[,below=<fidelity>]"
-                    "[,above=<fidelity>]'"
-                )
-            kwargs[key] = val
-        return cls(**kwargs)
-
-
-register_backend(SizeThresholdBackend.name, SizeThresholdBackend.from_spec)
-
-
-class ScopedBackend(CollectiveBackend):
-    """Communicator-scope fidelity: world collectives vs everything else.
-
-    ``scoped:world=analytic,default=macro`` runs collectives issued on
-    the *world* communicator (context 0 — the global barriers, extent
-    allgathers and splits that every rank joins) at one fidelity and
-    collectives on derived communicators (FA subgroups, node groups) at
-    another.  This is the shape the sharded DES needs: with world-scope
-    collectives analytic, cross-shard interaction reduces to pure
-    timestamp merging, while subgroup traffic — which never crosses a
-    shard boundary under ParColl's partition — keeps full message (or
-    macro) fidelity.  Call sites that cannot name their communicator
-    (``comm=None``) take the ``default`` path.
-    """
-
-    name = "scoped"
-    DEFAULT_WORLD = "analytic"
-    DEFAULT_SCOPED = "macro"
-
-    def __init__(self, world: Optional[str] = None,
-                 default: Optional[str] = None):
-        _ensure_builtins()
-        self._world = self.DEFAULT_WORLD if world is None else world
-        self._default = self.DEFAULT_SCOPED if default is None else default
-        for scope, fid in (("world", self._world),
-                           ("default", self._default)):
-            if fid not in _LEAF_FIDELITIES:
-                raise MPIError(
-                    f"scoped fidelity for {scope!r} must be one of "
-                    f"{leaf_fidelities()}, got {fid!r}"
-                )
-
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
-        if comm is not None and comm.desc.ctx == 0:
-            return self._world
-        return self._default
-
-    def describe(self) -> str:
-        return f"{self.name}:world={self._world},default={self._default}"
-
-    @classmethod
-    def from_spec(cls, options: str) -> "ScopedBackend":
-        """Parse ``world=<fidelity>,default=<fidelity>`` (both optional)."""
-        if not options:
-            return cls()
-        kwargs: dict = {}
-        for item in options.split(","):
-            key, sep, fid = item.partition("=")
-            key, fid = key.strip(), fid.strip()
-            if not sep or key not in ("world", "default") or not fid:
-                raise MPIError(
-                    f"malformed scoped backend entry {item!r}; expected "
-                    "'scoped:world=<fidelity>,default=<fidelity>'"
-                )
-            kwargs[key] = fid
-        return cls(**kwargs)
-
-
-register_backend(ScopedBackend.name, ScopedBackend.from_spec)
+                raise MPIError(f"sizethreshold: expected an integer byte "
+                               f"threshold, got {head!r}") from None
+            if threshold <= 0:
+                raise MPIError(f"sizethreshold: threshold must be > 0 "
+                               f"bytes, got {threshold}")
+    keys, defaults = _KEYS[name]
+    values = dict(defaults)
+    for item in items:
+        key, sep, fid = (s.strip() for s in item.partition("="))
+        if not sep or not key or not fid or (keys and key not in keys):
+            raise MPIError(f"malformed {name} backend entry {item!r}; "
+                           f"expected {SPELLINGS[name][0]!r}")
+        values[key] = fid
+    for key, fid in values.items():
+        if fid not in FIDELITIES:
+            raise MPIError(f"{name} fidelity for {key!r} must be one of "
+                           f"{FIDELITIES}, got {fid!r}")
+    if name == "hybrid":
+        default = values.pop("default")
+        table = sorted(values.items())
+        parts = [f"{c}={f}" for c, f in table] + [f"default={default}"]
+        return FidelityPolicy(tuple(Rule(f, category=c) for c, f in table),
+                              default, f"hybrid:{','.join(parts)}")
+    if name == "sizethreshold":
+        below, above = values["below"], values["above"]
+        spec = f"sizethreshold:{threshold}"
+        if below != "detailed":
+            spec += f",below={below}"
+        if above != "analytic":
+            spec += f",above={above}"
+        return FidelityPolicy((Rule(above, min_bytes=threshold),), below,
+                              spec)
+    world, default = values["world"], values["default"]
+    return FidelityPolicy((Rule(world, world=True),), default,
+                          f"scoped:world={world},default={default}")

@@ -18,21 +18,11 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.simmpi.backends import _LeafBackend, register_backend
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import ReduceOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.world import Communicator
-
-
-class DetailedBackend(_LeafBackend):
-    """Every collective runs its real message schedule through the DES."""
-
-    name = "detailed"
-
-
-register_backend(DetailedBackend.name, DetailedBackend.from_spec, leaf=True)
 
 
 def _pay(obj: Any, nbytes: Optional[int]) -> Payload:

@@ -49,7 +49,7 @@ The walk reproduces the engine's execution *bit-identically*:
 
 Non-synchronizing collectives (bcast, reduce, gather, scatter, scan,
 exscan) can complete on some ranks before others arrive, so a site-based
-replay would be unsound; under the ``macro`` backend those fall back to
+replay would be unsound; under the ``macro`` fidelity those fall back to
 the detailed message schedule (see :meth:`Communicator._collective`).
 The walk itself falls back when message timestamps are not strictly
 ordered after their causes (``send_overhead == 0`` or ``latency == 0``
@@ -69,7 +69,6 @@ from repro.perf import perf_counters
 from repro.sim.effects import WaitEvent
 from repro.sim.engine import _K_CALL1, _K_FIRE, Event
 from repro.simmpi import collectives_detailed as detailed
-from repro.simmpi.backends import _LeafBackend, register_backend
 from repro.simmpi.p2p import RTS_BYTES
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import ReduceOp
@@ -79,14 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _INF = float("inf")
 
-
-class MacroBackend(_LeafBackend):
-    """Synchronizing collectives replay their schedule in closed form."""
-
-    name = "macro"
-
-
-register_backend(MacroBackend.name, MacroBackend.from_spec, leaf=True)
 
 #: initial site entries must order before any allocated sequence number
 _BIG = 1 << 60

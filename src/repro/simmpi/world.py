@@ -23,7 +23,7 @@ from repro.sim.effects import Sleep, WaitEvent
 from repro.sim.engine import _K_CALL1, _K_FIRE, Engine, Event
 from repro.simmpi import analytic, collectives_detailed as detailed
 from repro.simmpi import collectives_macro as macro
-from repro.simmpi.backends import CollectiveBackend, resolve_backend
+from repro.simmpi.backends import FidelityPolicy, resolve_backend
 from repro.simmpi.p2p import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
                               PostedRecv, Request, RTS_BYTES, Status, waitall)
 from repro.simmpi.payload import Payload, sizeof
@@ -96,7 +96,7 @@ class World:
     def __init__(self, machine: Machine | MachineConfig,
                  net_params: Optional[NetworkParams] = None,
                  topology: Optional[Torus3D] = None,
-                 collective_mode: str | CollectiveBackend = "analytic",
+                 collective_mode: str = "analytic",
                  engine: Optional[Engine] = None,
                  faults: Optional["object"] = None):
         if isinstance(machine, MachineConfig):
@@ -106,7 +106,7 @@ class World:
         self.network = NetworkModel(self.engine, machine, net_params, topology)
         #: hot-path cache (NetworkParams is frozen for the world's lifetime)
         self._eager_threshold = self.network.params.eager_threshold
-        #: default backend for every communicator without an override
+        #: default fidelity policy of every communicator without an override
         self.backend = resolve_backend(collective_mode)
         #: optional FaultInjector applying NodeSlowdown events here
         self.faults = faults
@@ -361,8 +361,8 @@ class Communicator:
         # operation sequencing (sites and collective tags stay unique)
         self._op_state = [0]
         self._split_state = [0]
-        #: per-communicator backend override; None = the world's default
-        self._backend: Optional[CollectiveBackend] = None
+        #: per-communicator policy override; None = the world's default
+        self._backend: Optional[FidelityPolicy] = None
 
     # -- helpers --------------------------------------------------------
     @property
@@ -374,10 +374,10 @@ class Communicator:
         return self._op_state[0]
 
     @property
-    def backend(self) -> CollectiveBackend:
+    def backend(self) -> FidelityPolicy:
         return self._backend if self._backend is not None else self.world.backend
 
-    def with_backend(self, backend: str | CollectiveBackend) -> "Communicator":
+    def with_backend(self, backend: str) -> "Communicator":
         """A handle on the same group whose collectives run through
         ``backend``.
 
@@ -419,13 +419,16 @@ class Communicator:
 
     def isend_batch(self, items: list[tuple[int, Any]],
                     tag: int = 0) -> list[Request]:
-        """Batched :meth:`isend`: ``items`` are ``(dest, payload)`` pairs.
+        """:meth:`isend` of every ``(dest, payload)`` pair, in order.
 
-        Thin wrapper over :meth:`World.send_batch`; see its contract.
-        Exchange rounds use this when the communicator's ``exchange``
-        fidelity is ``macro`` — the round's sends coalesce into one
-        vectorized NIC schedule instead of per-message events.
+        When the communicator's ``exchange`` fidelity is ``macro`` the
+        sends coalesce through :meth:`World.send_batch` (see its
+        contract) into one vectorized NIC schedule instead of
+        per-message events; at any other fidelity each pair goes through
+        :meth:`isend`.
         """
+        if self.backend.fidelity("exchange", comm=self) != "macro":
+            return [self.isend(obj, dest, tag) for dest, obj in items]
         ctx = self.desc.ctx
         entries = [
             (self.world_rank(dest),

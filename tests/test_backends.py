@@ -1,5 +1,7 @@
-"""Collective-fidelity backends: registry, hybrid mode, overrides, and
+"""Collective-fidelity policies: spellings, hybrid mode, overrides, and
 the one-path-per-call regression guard."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +9,7 @@ import pytest
 from repro.cluster import MachineConfig, NetworkParams
 from repro.errors import MPIError, MPIIOError, ParCollError
 from repro.datatypes import BYTE, Vector
-from repro.simmpi import (HybridBackend, World, available_backends,
-                          resolve_backend)
+from repro.simmpi import World, available_backends, resolve_backend
 from repro.simmpi.world import Communicator
 from tests.conftest import Stack, rank_pattern
 
@@ -56,6 +57,103 @@ def test_hybrid_spec_parse_errors(spec):
         resolve_backend(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    "sizethreshold:12x",                   # bad integer
+    "sizethreshold:0",                     # threshold must be positive
+    "sizethreshold:1024,1024",             # second bare integer
+    "sizethreshold:1024,middle=analytic",  # unknown key
+    "sizethreshold:1024,below=hybrid",     # non-leaf fidelity
+    "sizethreshold:above=banana",          # unknown fidelity
+    "scoped:4096",                         # integer where a key belongs
+    "scoped:nodes=analytic",               # unknown key
+    "scoped:world",                        # missing '='
+    "scoped:world=hybrid",                 # non-leaf fidelity
+    "scoped:world=analytic,",              # empty entry
+])
+def test_sizethreshold_and_scoped_spec_parse_errors(spec):
+    with pytest.raises(MPIError):
+        resolve_backend(spec)
+
+
+_WORLD_COMM = SimpleNamespace(desc=SimpleNamespace(ctx=0))
+_DERIVED_COMM = SimpleNamespace(desc=SimpleNamespace(ctx=3))
+
+
+# Every spelling family with its edge cases: (spec, canonical describe(),
+# picked fidelity).  The fidelity string lists world-communicator calls,
+# then derived-communicator calls; each three-letter group is one
+# category (sync, exchange, io) and its letters are the declared sizes
+# None, 8 and 1 MiB (a=analytic, d=detailed, m=macro).
+@pytest.mark.parametrize("spec,canonical,picks", [
+    ("analytic", "analytic", "aaa aaa aaa / aaa aaa aaa"),
+    ("detailed", "detailed", "ddd ddd ddd / ddd ddd ddd"),
+    ("macro", "macro", "mmm mmm mmm / mmm mmm mmm"),
+    ("analytic:", "analytic", "aaa aaa aaa / aaa aaa aaa"),
+    ("macro:", "macro", "mmm mmm mmm / mmm mmm mmm"),
+    ("hybrid", "hybrid:sync=analytic,default=detailed",
+     "aaa ddd ddd / aaa ddd ddd"),
+    ("hybrid:", "hybrid:sync=analytic,default=detailed",
+     "aaa ddd ddd / aaa ddd ddd"),
+    ("hybrid:sync=analytic", "hybrid:sync=analytic,default=detailed",
+     "aaa ddd ddd / aaa ddd ddd"),
+    ("hybrid:sync=analytic,default=detailed",
+     "hybrid:sync=analytic,default=detailed", "aaa ddd ddd / aaa ddd ddd"),
+    ("hybrid:sync=macro,default=detailed",
+     "hybrid:sync=macro,default=detailed", "mmm ddd ddd / mmm ddd ddd"),
+    ("hybrid:io=detailed,sync=analytic",
+     "hybrid:io=detailed,sync=analytic,default=detailed",
+     "aaa ddd ddd / aaa ddd ddd"),
+    ("hybrid:default=analytic", "hybrid:default=analytic",
+     "aaa aaa aaa / aaa aaa aaa"),
+    ("hybrid:exchange=macro", "hybrid:exchange=macro,default=detailed",
+     "ddd mmm ddd / ddd mmm ddd"),
+    ("hybrid: sync = analytic , default = macro",
+     "hybrid:sync=analytic,default=macro", "aaa mmm mmm / aaa mmm mmm"),
+    ("hybrid:sync=detailed,sync=analytic",
+     "hybrid:sync=analytic,default=detailed", "aaa ddd ddd / aaa ddd ddd"),
+    ("sizethreshold", "sizethreshold:65536", "dda dda dda / dda dda dda"),
+    ("sizethreshold:", "sizethreshold:65536", "dda dda dda / dda dda dda"),
+    ("sizethreshold:2048", "sizethreshold:2048",
+     "dda dda dda / dda dda dda"),
+    ("sizethreshold:65536", "sizethreshold:65536",
+     "dda dda dda / dda dda dda"),
+    ("sizethreshold:8,below=macro", "sizethreshold:8,below=macro",
+     "maa maa maa / maa maa maa"),
+    ("sizethreshold:below=analytic,above=detailed",
+     "sizethreshold:65536,below=analytic,above=detailed",
+     "aad aad aad / aad aad aad"),
+    ("sizethreshold:,above=macro", "sizethreshold:65536,above=macro",
+     "ddm ddm ddm / ddm ddm ddm"),
+    ("sizethreshold:1048577", "sizethreshold:1048577",
+     "ddd ddd ddd / ddd ddd ddd"),
+    ("scoped", "scoped:world=analytic,default=macro",
+     "aaa aaa aaa / mmm mmm mmm"),
+    ("scoped:", "scoped:world=analytic,default=macro",
+     "aaa aaa aaa / mmm mmm mmm"),
+    ("scoped:default=detailed", "scoped:world=analytic,default=detailed",
+     "aaa aaa aaa / ddd ddd ddd"),
+    ("scoped:world=analytic,default=macro",
+     "scoped:world=analytic,default=macro", "aaa aaa aaa / mmm mmm mmm"),
+    ("scoped:world=analytic,default=detailed",
+     "scoped:world=analytic,default=detailed", "aaa aaa aaa / ddd ddd ddd"),
+    ("scoped:world=detailed", "scoped:world=detailed,default=macro",
+     "ddd ddd ddd / mmm mmm mmm"),
+    ("scoped:world=macro,default=analytic",
+     "scoped:world=macro,default=analytic", "mmm mmm mmm / aaa aaa aaa"),
+])
+def test_spelling_table_is_pinned(spec, canonical, picks):
+    policy = resolve_backend(spec)
+    assert policy.describe() == canonical
+    assert resolve_backend(canonical) == policy
+    groups = [
+        "".join(policy.fidelity(cat, nbytes, comm=comm)[0]
+                for nbytes in (None, 8, 1 << 20))
+        for comm in (_WORLD_COMM, _DERIVED_COMM)
+        for cat in ("sync", "exchange", "io")
+    ]
+    assert f"{' '.join(groups[:3])} / {' '.join(groups[3:])}" == picks
+
+
 def test_hybrid_describe_is_canonical_and_round_trips():
     spec = "hybrid:io=detailed,sync=analytic"
     canonical = resolve_backend(spec).describe()
@@ -71,12 +169,14 @@ def test_world_collective_mode_property():
     assert "sync=analytic" in w.collective_mode
 
 
-def test_resolve_backend_instance_passthrough():
-    b = HybridBackend({"sync": "analytic"}, default="detailed")
-    assert resolve_backend(b) is b
+def test_hybrid_policy_picks_per_category():
+    b = resolve_backend("hybrid:sync=analytic,default=detailed")
     assert b.fidelity("sync") == "analytic"
     assert b.fidelity("exchange") == "detailed"
     assert b.fidelity("io") == "detailed"
+    # policies are built from spec strings only
+    with pytest.raises(MPIError, match="must be a string"):
+        resolve_backend(b)
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import MachineConfig, NetworkParams
 from repro.errors import SimulationError
+from repro.perf import perf_counters
 from repro.sim import Engine, FIFOResource
 from repro.sim.resources import ServiceProfile
 from repro.simmpi import World
@@ -234,11 +235,27 @@ def test_send_batch_virtual_times_match_per_message(sizes):
     items = [1 + (i % 3) for i in range(len(sizes))]
     out = []
     for use_batch in (False, True):
+        # isend_batch coalesces only under a macro exchange fidelity
         w = World(MachineConfig(nprocs=4, cores_per_node=2),
-                  net_params=NetworkParams())
+                  net_params=NetworkParams(), collective_mode="macro")
+        before = perf_counters.messages_coalesced
         out.append(_exchange(w, use_batch, items,
                              lambda i: sizes[i]))
     assert out[0] == out[1]
+    eager = sum(s <= NetworkParams().eager_threshold for s in sizes)
+    assert perf_counters.messages_coalesced - before == eager
+
+
+@pytest.mark.parametrize("mode,coalesced", [
+    ("analytic", 0), ("detailed", 0), ("scoped", 0),
+    ("macro", 3), ("hybrid:exchange=macro", 3),
+])
+def test_isend_batch_coalesces_only_under_macro_exchange(mode, coalesced):
+    w = World(MachineConfig(nprocs=4, cores_per_node=2),
+              net_params=NetworkParams(), collective_mode=mode)
+    before = perf_counters.messages_coalesced
+    _exchange(w, True, [1, 2, 3], lambda i: 64)
+    assert perf_counters.messages_coalesced - before == coalesced
 
 
 def test_isend_batch_rejects_out_of_range_rank():

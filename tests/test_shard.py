@@ -64,6 +64,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("backend", [
         "scoped:world=analytic,default=macro",
         "scoped:world=analytic,default=detailed",
+        "scoped:default=detailed",
         "analytic",
     ])
     def test_sharded_equals_unsharded(self, shards, backend):
@@ -142,6 +143,15 @@ class TestFallbacks:
             p = plan(**kw)
             assert not p.active
             assert needle in p.reason
+        # every spelling whose world collectives all resolve to
+        # 'analytic' is shardable, however it is written
+        for mode in ("scoped", "scoped:default=detailed",
+                     "hybrid:default=analytic"):
+            assert plan({"collective_mode": mode}).active, mode
+        for mode in ("detailed", "scoped:world=detailed"):
+            p = plan({"collective_mode": mode})
+            assert not p.active
+            assert "per-message" in p.reason
 
     def test_shards_1_is_trivial(self):
         p = analyze(config(1), {"protocol": "parcoll",
