@@ -18,6 +18,7 @@ Run directly (not under pytest)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py          # full scale
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke  # CI gate
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --scale-sweep 256,512,1024
 
 ``--smoke`` shrinks every config to seconds and additionally enforces
 the CI regression gate: wall clock must stay within ``REGRESSION_FACTOR``
@@ -33,14 +34,22 @@ Full mode additionally records the macro-fidelity headline speedup for
 ``tileio_detailed`` and a 4096-rank scale probe
 (:func:`repro.harness.hotpath.run_scale`) that only the macro engine
 makes tractable.
+
+``--scale-sweep`` runs only the scale probe at the given rank counts
+and records wall seconds, messages and simulated messages per host
+second for each under ``scale_sweep`` in ``BENCH_hotpath.json``, with
+the host's CPU count, Python version and git sha; the other modes keep
+that block when they rewrite the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import platform
+import subprocess
 import sys
 import time
 
@@ -98,11 +107,58 @@ def check_determinism(key: str, got: dict, expected: dict) -> list[str]:
     return errors
 
 
+def _git_sha() -> str | None:
+    try:
+        return subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
+            text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def _previous() -> dict:
+    return json.loads(OUT.read_text()) if OUT.exists() else {}
+
+
+def scale_sweep(ranks: list[int]) -> int:
+    """Run the macro scale probe at each rank count; record the sweep."""
+    from repro.harness.hotpath import run_scale
+
+    rows = []
+    for n in ranks:
+        r = run_scale(n)
+        row = {"nprocs": n, "wall_s": r["wall_s"],
+               "messages": r["messages"],
+               "msgs_per_s": round(r["messages"] / r["wall_s"], 1),
+               "events": r["events"],
+               "elapsed_total": r["elapsed_total"]}
+        rows.append(row)
+        print(f"{n:>6} ranks: wall {row['wall_s']:.2f}s  "
+              f"{row['messages']} messages  "
+              f"{row['msgs_per_s']:.0f} msgs/s")
+    payload = _previous()
+    payload["scale_sweep"] = {
+        "probe": "repro.harness.hotpath.run_scale (tile-IO, ext2ph, macro)",
+        "host": {"cpus": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "machine": platform.machine(), "git_sha": _git_sha()},
+        "ranks": rows,
+    }
+    OUT.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {OUT}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small configs + CI wall-clock gate")
+    parser.add_argument("--scale-sweep", metavar="RANKS",
+                        help="comma-separated rank counts: run only the "
+                             "macro scale probe at each")
     args = parser.parse_args(argv)
+    if args.scale_sweep:
+        return scale_sweep([int(n) for n in args.scale_sweep.split(",")])
 
     ref = json.loads(REF.read_text())["configs"]
     smoke = args.smoke
@@ -228,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         payload["scale_macro"] = scale
     if gate:
         payload["smoke_gate"] = gate
+    sweep = _previous().get("scale_sweep")
+    if sweep:
+        payload["scale_sweep"] = sweep
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT}")
 

@@ -49,7 +49,8 @@ class ZooEntry:
     #: extra MPI-IO hints the run used (tuned group count, ...)
     hints: dict = field(default_factory=dict)
     write_mb_s: float = 0.0
-    read_mb_s: float = 0.0
+    #: None when the cell read no bytes (write-only patterns)
+    read_mb_s: Optional[float] = None
     sync_share: float = 0.0
     elapsed: float = 0.0
 
@@ -57,7 +58,8 @@ class ZooEntry:
         return {"pattern": self.pattern, "label": self.label,
                 "protocol": self.protocol, "hints": dict(self.hints),
                 "write_mb_s": round(self.write_mb_s, 3),
-                "read_mb_s": round(self.read_mb_s, 3),
+                "read_mb_s": (None if self.read_mb_s is None
+                              else round(self.read_mb_s, 3)),
                 "sync_share": round(self.sync_share, 4),
                 "elapsed": round(self.elapsed, 6)}
 
@@ -83,7 +85,8 @@ class ZooLeaderboard:
             pick = self.picks.get(e.pattern)
             rows.append([
                 e.pattern, e.label, round(e.write_mb_s, 1),
-                round(e.read_mb_s, 1), round(100 * e.sync_share, 1),
+                "-" if e.read_mb_s is None else round(e.read_mb_s, 1),
+                round(100 * e.sync_share, 1),
                 "<- best" if pick is e else "",
             ])
         out = format_table(
@@ -137,7 +140,8 @@ def _measure(pattern: str, label: str, protocol: str, hints: dict,
     return ZooEntry(
         pattern=pattern, label=label, protocol=protocol, hints=hints,
         write_mb_s=mb_per_s(res.write_bandwidth),
-        read_mb_s=mb_per_s(res.read_bandwidth),
+        read_mb_s=(mb_per_s(res.read_bandwidth)
+                   if any(st.bytes_read for st in res.per_rank) else None),
         sync_share=res.category_share("sync"),
         elapsed=res.elapsed_total)
 

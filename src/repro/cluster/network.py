@@ -106,23 +106,26 @@ class NetworkModel:
             lat += self.params.hop_latency * self.topology.hops(a, b)
         return lat
 
-    def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> tuple[float, float]:
-        """Reserve resources for a message; returns ``(sender_free, arrival)``.
+    def transfer(self, t: float, src_rank: int, dst_rank: int,
+                 nbytes: int) -> tuple[float, float]:
+        """Reserve resources for a message issued at virtual time ``t``;
+        returns ``(sender_free, arrival)``.
 
         ``sender_free`` is when the sending CPU may proceed (data handed to
         the NIC / copied locally); ``arrival`` is when the payload is fully
         available at the receiver.  Non-blocking: callers sleep as their
-        protocol requires.
+        protocol requires.  Calls must come in global chronological order
+        of ``t`` (the engine's clock, or the macro walker's replay
+        clock), so the NIC FIFO chains see the per-message order.
         """
         self.messages_sent += 1
         self.bytes_sent += nbytes
         node_of = self._node_of
         src_node = node_of[src_rank]
         dst_node = node_of[dst_rank]
-        now = self.engine.now
         p = self.params
         if src_node == dst_node:
-            done = now + p.send_overhead + nbytes / p.memcpy_bandwidth
+            done = t + p.send_overhead + nbytes / p.memcpy_bandwidth
             return done, done
         self.cross_node_messages += 1
         self.cross_node_bytes += nbytes
@@ -133,7 +136,7 @@ class NetworkModel:
             # the arithmetic matches it bit for bit, including reporting
             # the span start as done - stime
             busy = tx.busy_until
-            start = now if now > busy else busy
+            start = t if t > busy else busy
             stime = tx.overhead + nbytes / tx.rate
             tx_done = start + stime
             tx.busy_time += stime
@@ -154,7 +157,7 @@ class NetworkModel:
             rx.total_bytes += nbytes
             rx.total_requests += 1
             return tx_done, arrival
-        tx_start, tx_done = tx.reserve_span(now, nbytes)
+        tx_start, tx_done = tx.reserve_span(t, nbytes)
         if self._flat_wire:
             first_byte = tx_start + p.latency
         else:

@@ -13,6 +13,18 @@ shared per-world *walker* replays the detailed algorithm's message
 schedule as a timestamp-ordered walk over the send/receive dependency
 graph — no per-message tasks, mailboxes, or event objects.
 
+Four of the five schedules are *shifts*: at step ``k`` rank ``r`` sends
+to ``(r + off_k) % p`` and receives from ``(r - off_k) % p``, with
+``off_k = k + 1`` for pairwise alltoall and reduce_scatter_block,
+``1`` for the ring allgather and ``2**k`` for the dissemination
+barrier.  A shift round carries one closed-form program (:class:`_Shift`:
+the offsets plus a size rule — a constant, the sender's own block for
+``dst``, or the forwarded ring block's origin size) and the walker
+derives each step from ``(r, k, p)``, so a p-rank round builds no
+O(p²) step lists.  Only recursive-doubling allreduce, whose fold ranks
+and partial-reduction sizes break the shift shape, keeps an O(log p)
+per-rank step list.
+
 The walk reproduces the engine's execution *bit-identically*:
 
 * it is incremental — each rank pushes its first step when it arrives,
@@ -21,10 +33,12 @@ The walk reproduces the engine's execution *bit-identically*:
   chronological engine moment, interleaved with concurrent
   non-collective traffic (pipelined writes, point-to-point exchange)
   exactly as the per-message simulation would;
-* completion times come from the same
-  :meth:`~repro.sim.resources.FIFOResource.reserve_span` arithmetic in
-  the same global order, including rendezvous header/clear-to-send/data
-  phases and piecewise fault speed profiles;
+* every message goes through the same
+  :meth:`~repro.cluster.network.NetworkModel.transfer` the per-message
+  path calls, issued at the walker's replay time, so completion times
+  come from the same NIC FIFO arithmetic in the same global order,
+  including rendezvous header/clear-to-send/data phases and piecewise
+  fault speed profiles;
 * ties are broken exactly like the engine's ``(time, seq)`` heap key —
   the walker allocates its sequence numbers *from the engine's own
   counter*, in the same order the per-message schedule would have
@@ -59,8 +73,9 @@ for single-rank communicators (whose detailed path never yields).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Generator, NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -114,60 +129,70 @@ class _MacroSite:
         self.extra: dict = {}
 
 
-def _transfer_at(net, t: float, src_rank: int, dst_rank: int,
-                 nbytes: int) -> tuple[float, float]:
-    """:meth:`NetworkModel.transfer` issued at logical time ``t``.
+#: shift size rules (see :class:`_Shift`)
+_CONST, _OWN, _RING = 0, 1, 2
 
-    The walker calls this in global chronological order (``t`` is always
-    the engine's current time or the walker's quiescent-advance clock),
-    so reserving the real NIC resources directly (no shadow state)
-    leaves them in exactly the state N per-message ``transfer()`` calls
-    would have.
+
+class _Shift(NamedTuple):
+    """Closed-form step program shared by every rank of a round.
+
+    Step ``k`` of rank ``r`` sends to ``(r + offs[k]) % p`` (matched by
+    that rank's own step ``k``), then waits the receive from
+    ``(r - offs[k]) % p``, then waits the send: pairwise exchange has
+    ``offs[k] = k + 1``, the ring ``1`` and dissemination ``2**k``.
+    ``rule`` sizes the step: ``_CONST`` sends ``nbytes``, ``_OWN`` the
+    ``sizeof`` of the rank's own block for ``dst`` (``site.extra[r]``
+    holds its block list), ``_RING`` the block forwarded at step ``k``,
+    which originated at rank ``r - k`` (``site.extra[r - k]`` holds that
+    rank's block size, recorded at its arrival).
     """
-    net.messages_sent += 1
-    net.bytes_sent += nbytes
-    node_of = net._node_of
-    src_node = node_of[src_rank]
-    dst_node = node_of[dst_rank]
-    p = net.params
-    if src_node == dst_node:
-        done = t + p.send_overhead + nbytes / p.memcpy_bandwidth
-        return done, done
-    net.cross_node_messages += 1
-    net.cross_node_bytes += nbytes
-    tx_start, tx_done = net.tx[src_node].reserve_span(t, nbytes)
-    if net._flat_wire:
-        first_byte = tx_start + p.latency
-    else:
-        first_byte = tx_start + net.wire_latency(src_node, dst_node)
-    arrival = net.rx[dst_node].reserve_span(first_byte, nbytes)[1]
-    return tx_done, arrival
+
+    offs: tuple
+    rule: int
+    nbytes: int = 0
+
+
+@lru_cache(maxsize=64)
+def _offsets(shape: str, p: int) -> tuple:
+    """Step offsets of a ``pairwise``, ``ring`` or ``dissemination``
+    shift at size ``p``: built once per size and shared by every rank
+    and round, so an arriving rank allocates nothing O(p)."""
+    if shape == "pairwise":
+        return tuple(range(1, p))
+    if shape == "ring":
+        return (1,) * (p - 1)
+    return tuple(1 << k for k in range((p - 1).bit_length()))
 
 
 class _Driver:
     """Per-site replay state for one collective round.
 
-    ``progs[r]`` is rank r's step list; each step is ``(dst, dstep, nb,
-    src)``: send ``nb`` bytes to rank ``dst`` (matched by the receiver's
-    step index ``dstep``), then wait the receive of a message from some
-    rank (``src >= 0``), then wait the send.  ``dst = -1`` is a
-    receive-only step, ``src = -1`` send-only — exactly the three shapes
-    the detailed algorithms use (``sreq = isend; yield irecv; yield
-    sreq``).  ``nb`` may be a zero-argument callable, resolved when the
-    step is issued — sizes that depend on other ranks' payloads
-    (forwarded blocks, partial reductions) are only known once the data
-    has causally propagated, which is exactly when the step runs.
+    A shift-shaped round (barrier, ring allgather, pairwise alltoall and
+    reduce_scatter_block) carries one :class:`_Shift` in ``shift``; the
+    walker derives every step from ``(r, k, p)``, so a round costs no
+    per-rank step lists.  Otherwise (allreduce) ``progs[r]`` is rank
+    r's step list, built by ``prog_for(site, r)`` at its arrival; each
+    step is ``(dst, dstep, nb, src)``: send ``nb`` bytes to rank ``dst``
+    (matched by the receiver's step index ``dstep``), then wait the
+    receive of a message from some rank (``src >= 0``), then wait the
+    send.  ``dst = -1`` is a receive-only step, ``src = -1`` send-only
+    — exactly the three shapes the detailed algorithms use (``sreq =
+    isend; yield irecv; yield sreq``).  ``nb`` may be a zero-argument
+    callable, resolved when the step is issued — sizes that depend on
+    other ranks' payloads (partial reductions) are only known once the
+    data has causally propagated, which is exactly when the step runs.
 
     All scheduling state (heap, sequence counter, wake) lives on the
     world's shared :class:`_Walker`; the driver only holds the round's
-    step programs and per-rank progress.
+    program and per-rank progress.
     """
 
     __slots__ = ("core", "members", "p", "site", "idx", "step_i",
-                 "pend", "inbox", "progs", "results", "nmsgs", "done")
+                 "pend", "inbox", "shift", "prog_for", "progs",
+                 "results", "nmsgs", "done")
 
     def __init__(self, comm: "Communicator", site: _MacroSite,
-                 core: "_Walker"):
+                 core: "_Walker", program):
         p = comm.size
         self.core = core
         self.members = comm.desc.members
@@ -178,18 +203,29 @@ class _Driver:
         #: parked rank state: [step, sendT, sbind, recvT, rbind]; None
         #: fields are unresolved (rendezvous send, unmatched receive)
         self.pend: list[Optional[list]] = [None] * p
-        #: early messages keyed (dst, dstep): ("e", arrival, seq) once
-        #: the delivery is scheduled, ("h", src, nb) for an unmatched
-        #: rendezvous header sitting in the unexpected queue
-        self.inbox: dict[tuple[int, int], tuple] = {}
-        self.progs: list[Optional[list]] = [None] * p
+        #: early messages keyed ``dstep * p + dst``: ("e", arrival, seq)
+        #: once the delivery is scheduled, ("h", src, nb) for an
+        #: unmatched rendezvous header sitting in the unexpected queue
+        self.inbox: dict[int, tuple] = {}
+        if isinstance(program, _Shift):
+            self.shift = program
+            self.prog_for = None
+            self.progs = None
+            # every shift step sends exactly once
+            self.nmsgs = p * len(program.offs)
+        else:
+            self.shift = None
+            self.prog_for = program
+            self.progs = [None] * p
+            self.nmsgs = 0
         self.results: Optional[list] = None
-        self.nmsgs = 0
         self.done = 0
 
-    def push_initial(self, r: int, prog: list) -> None:
+    def push_initial(self, r: int) -> None:
         core = self.core
-        self.progs[r] = prog
+        if self.progs is not None:
+            prog = self.progs[r] = self.prog_for(self.site, r)
+            self.nmsgs += sum(1 for step in prog if step[0] >= 0)
         heappush(core.heap,
                  (self.site.arrivals[r], 1, core.initc - _BIG, 0, r, self))
         core.initc += 1
@@ -317,12 +353,12 @@ class _Walker:
                 eng._seq += 1
                 self._push(cts, 0, eng._seq, 2, arg, drv)
             else:
-                drv.inbox[(dst, dstep)] = ("h", src, nb)
+                drv.inbox[dstep * drv.p + dst] = ("h", src, nb)
             return
         # code 2: rendezvous data phase — a real heap callback in
         # the per-message schedule too
         src, dst, dstep, nb = arg
-        free, arr = _transfer_at(net, t, members[src], members[dst], nb)
+        free, arr = net.transfer(t, members[src], members[dst], nb)
         sa = eng._seq + 1
         sb = sa + 1
         eng._seq = sb
@@ -349,16 +385,23 @@ class _Walker:
         task's continuation would have run at that position.
         """
         eng = self.eng
-        net = self.net
+        transfer = self.net.transfer
         members = drv.members
-        node_of = self.node_of
         pend = drv.pend
         inbox = drv.inbox
         step_i = drv.step_i
         eager = self.eager
-        cts_base = self.cts_base
-        prog = drv.progs[r]
-        nsteps = len(prog)
+        me = members[r]
+        p = drv.p
+        shift = drv.shift
+        if shift is None:
+            prog = drv.progs[r]
+            nsteps = len(prog)
+        else:
+            prog = None
+            offs, rule, size = shift
+            own = drv.site.extra
+            nsteps = len(offs)
         while True:
             k = step_i[r]
             if k >= nsteps:
@@ -382,16 +425,31 @@ class _Walker:
                 else:
                     ev.fire(val)
                 break
-            dst, dstep, nb, src = prog[k]
-            if callable(nb):
-                nb = nb()
+            if prog is None:
+                # closed-form shift step, derived from (r, k, p)
+                off = offs[k]
+                dst = r + off
+                if dst >= p:
+                    dst -= p
+                src = r - off
+                if src < 0:
+                    src += p
+                dstep = k
+                if rule == _CONST:
+                    nb = size
+                elif rule == _OWN:
+                    nb = sizeof(own[r][dst])
+                else:
+                    nb = own[r - k if r >= k else r - k + p]
+            else:
+                dst, dstep, nb, src = prog[k]
+                if callable(nb):
+                    nb = nb()
             sendT = sbind = None
             has_send = dst >= 0
             if has_send:
-                drv.nmsgs += 1
                 if nb <= eager:
-                    free, arr = _transfer_at(
-                        net, cur_t, members[r], members[dst], nb)
+                    free, arr = transfer(cur_t, me, members[dst], nb)
                     sendT = free
                     sbind = eng._seq + 1   # send-event fire
                     dseq = sbind + 1       # delivery
@@ -402,10 +460,9 @@ class _Walker:
                         pe[4] = dseq
                         drv._complete(dst, pe)
                     else:
-                        inbox[(dst, dstep)] = ("e", arr, dseq)
+                        inbox[dstep * p + dst] = ("e", arr, dseq)
                 else:
-                    _, harr = _transfer_at(
-                        net, cur_t, members[r], members[dst], RTS_BYTES)
+                    _, harr = transfer(cur_t, me, members[dst], RTS_BYTES)
                     eng._seq += 1
                     self._push(harr, 0, eng._seq, 1,
                                (r, dst, dstep, nb), drv)
@@ -417,7 +474,7 @@ class _Walker:
                 step_i[r] += 1
                 self._push(sendT, 1, sbind, 0, r, drv)
                 break
-            ib = inbox.pop((r, k), None)
+            ib = inbox.pop(k * p + r, None)
             if ib is None:
                 pend[r] = [k, sendT if has_send else 0.0,
                            sbind if has_send else -1, None, None]
@@ -425,9 +482,9 @@ class _Walker:
             if ib[0] == "h":
                 # unmatched rendezvous header: posting the receive
                 # sends the clear-to-send immediately
-                cts = cur_t + (net.wire_latency(
-                    node_of[members[r]],
-                    node_of[members[ib[1]]]) + cts_base)
+                node_of = self.node_of
+                cts = cur_t + (self.net.wire_latency(
+                    node_of[me], node_of[members[ib[1]]]) + self.cts_base)
                 eng._seq += 1
                 self._push(cts, 0, eng._seq, 2, (ib[1], r, k, ib[2]), drv)
                 pend[r] = [k, sendT if has_send else 0.0,
@@ -530,16 +587,19 @@ class _Walker:
                 "round(s) never completed their schedule (walker bug)")
 
 
-def _macro_site(comm: "Communicator", kind: str, value: Any, prog_for,
-                results_for) -> Generator[Any, Any, Any]:
+def _macro_site(comm: "Communicator", kind: str, value: Any, program,
+                results_for, own: Any = None) -> Generator[Any, Any, Any]:
     """Park on the round's site; the walker replays the schedule.
 
-    ``prog_for(site, r)`` builds rank r's step program at its arrival
-    (it may only touch rank r's own payload — other ranks' sizes go
-    through lazy ``nb`` callables).  ``results_for(site)`` runs once on
-    the last-arriving rank, before any exit can fire (every exit
-    strictly follows the last arrival), and returns the per-rank
-    results the walker hands to :meth:`Event.fire`.
+    ``program`` is a :class:`_Shift` shared by every rank, or
+    ``prog_for(site, r)``, which builds rank r's step list at its
+    arrival (it may only touch rank r's own payload — other ranks'
+    sizes go through lazy ``nb`` callables).  ``own``, when given, is
+    stored as ``site.extra[r]`` for the shift size rules.
+    ``results_for(site)`` runs once on the last-arriving rank, before
+    any exit can fire (every exit strictly follows the last arrival),
+    and returns the per-rank results the walker hands to
+    :meth:`Event.fire`.
     """
     desc = comm.desc
     key = comm._op_seq
@@ -557,6 +617,8 @@ def _macro_site(comm: "Communicator", kind: str, value: Any, prog_for,
     r = comm.rank
     eng = comm._engine
     site.values[r] = value
+    if own is not None:
+        site.extra[r] = own
     site.arrivals[r] = eng.now
     site.order.append(r)
     ev = Event(eng, ("macro", desc.ctx, key, r))
@@ -567,8 +629,8 @@ def _macro_site(comm: "Communicator", kind: str, value: Any, prog_for,
         core = getattr(world, "_macro_walker", None)
         if core is None:
             core = world._macro_walker = _Walker(world)
-        drv = site.driver = _Driver(comm, site, core)
-    drv.push_initial(r, prog_for(site, r))
+        drv = site.driver = _Driver(comm, site, core, program)
+    drv.push_initial(r)
     if len(site.order) == comm.size:
         del desc.sites[key]
         drv.results = results_for(site)
@@ -592,53 +654,36 @@ def _block_size(v: Any, nbytes: Optional[int]) -> int:
     return nbytes if nbytes is not None else sizeof(v)
 
 
+def _fallback(comm: "Communicator", nbytes: Optional[int]) -> bool:
+    """Run the detailed schedule instead: single-rank communicators,
+    networks the walk cannot order, and negative explicit sizes (which
+    the detailed path rejects with its own error)."""
+    return (comm.size == 1 or not _usable(comm)
+            or (nbytes is not None and nbytes < 0))
+
+
+def _pairwise(p: int, nbytes: Optional[int]) -> _Shift:
+    """Pairwise exchange: a fixed size, or each block's own size."""
+    offs = _offsets("pairwise", p)
+    if nbytes is None:
+        return _Shift(offs, _OWN)
+    return _Shift(offs, _CONST, nbytes)
+
+
 def barrier(comm: "Communicator") -> Generator[Any, Any, None]:
-    if comm.size == 1 or not _usable(comm):
+    if _fallback(comm, None):
         return (yield from detailed.barrier(comm))
     p = comm.size
-
-    def prog_for(site: _MacroSite, r: int) -> list:
-        steps = []
-        k = 0
-        dist = 1
-        while dist < p:
-            steps.append(((r + dist) % p, k, 0, (r - dist) % p))
-            dist <<= 1
-            k += 1
-        return steps
-
-    return (yield from _macro_site(comm, "barrier", None, prog_for,
-                                   lambda site: [None] * p))
+    return (yield from _macro_site(
+        comm, "barrier", None, _Shift(_offsets("dissemination", p), _CONST),
+        lambda site: [None] * p))
 
 
 def allgather(comm: "Communicator", value: Any,
               nbytes: Optional[int]) -> Generator[Any, Any, list]:
-    if comm.size == 1 or not _usable(comm):
+    if _fallback(comm, nbytes):
         return (yield from detailed.allgather(comm, value, nbytes))
     p = comm.size
-
-    def size_of(site: _MacroSite, j: int) -> int:
-        # forwarded block sizes are needed by every rank along the
-        # ring: memoize per origin on the site
-        sz = site.extra.get(j)
-        if sz is None:
-            sz = site.extra[j] = _block_size(site.values[j], nbytes)
-        return sz
-
-    def prog_for(site: _MacroSite, r: int) -> list:
-        right = (r + 1) % p
-        left = (r - 1) % p
-        steps = []
-        for i in range(p - 1):
-            j = (r - i) % p
-            if i == 0:
-                nb = size_of(site, r)
-            else:
-                # forwarded block: its origin's payload is known by the
-                # time the block has propagated here
-                nb = (lambda j=j: size_of(site, j))
-            steps.append((right, i, nb, left))
-        return steps
 
     def results_for(site: _MacroSite) -> list:
         vals = site.values
@@ -650,30 +695,22 @@ def allgather(comm: "Communicator", value: Any,
             results.append(out)
         return results
 
-    return (yield from _macro_site(comm, "allgather", value, prog_for,
-                                   results_for))
+    # ring: every step forwards one block to the right neighbour
+    return (yield from _macro_site(
+        comm, "allgather", value, _Shift(_offsets("ring", p), _RING),
+        results_for, own=_block_size(value, nbytes)))
 
 
 def alltoall(comm: "Communicator", values: list,
              nbytes_each: Optional[int]) -> Generator[Any, Any, list]:
-    if comm.size == 1 or not _usable(comm):
+    if _fallback(comm, nbytes_each):
         return (yield from detailed.alltoall(comm, values, nbytes_each))
     p = comm.size
-
-    def prog_for(site: _MacroSite, r: int) -> list:
-        v = site.values[r]
-        # index plain ints, not numpy scalars, exactly like the detailed
-        # pairwise loop; np.asarray below restores dtype
-        vr = (v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1
-              else v)
-        site.extra[r] = vr
-        steps = []
-        for i in range(1, p):
-            dst = (r + i) % p
-            nb = (nbytes_each if nbytes_each is not None
-                  else sizeof(vr[dst]))
-            steps.append((dst, i - 1, nb, (r - i) % p))
-        return steps
+    # index plain ints, not numpy scalars, exactly like the detailed
+    # pairwise loop; np.asarray below restores dtype
+    blocks = (values.tolist()
+              if isinstance(values, np.ndarray) and values.ndim == 1
+              else values)
 
     def results_for(site: _MacroSite) -> list:
         vals = site.extra
@@ -685,25 +722,17 @@ def alltoall(comm: "Communicator", values: list,
             results.append(out)
         return results
 
-    return (yield from _macro_site(comm, "alltoall", values, prog_for,
-                                   results_for))
+    return (yield from _macro_site(comm, "alltoall", values,
+                                   _pairwise(p, nbytes_each), results_for,
+                                   own=blocks))
 
 
 def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
                          nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    if comm.size == 1 or not _usable(comm):
+    if _fallback(comm, nbytes):
         return (yield from detailed.reduce_scatter_block(
             comm, values, op, nbytes))
     p = comm.size
-
-    def prog_for(site: _MacroSite, r: int) -> list:
-        vr = site.values[r]
-        steps = []
-        for i in range(1, p):
-            dst = (r + i) % p
-            nb = nbytes if nbytes is not None else sizeof(vr[dst])
-            steps.append((dst, i - 1, nb, (r - i) % p))
-        return steps
 
     def results_for(site: _MacroSite) -> list:
         vals = site.values
@@ -715,13 +744,14 @@ def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
             results.append(acc)
         return results
 
-    return (yield from _macro_site(
-        comm, "reduce_scatter_block", values, prog_for, results_for))
+    return (yield from _macro_site(comm, "reduce_scatter_block", values,
+                                   _pairwise(p, nbytes), results_for,
+                                   own=values))
 
 
 def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
               nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    if comm.size == 1 or not _usable(comm):
+    if _fallback(comm, nbytes):
         return (yield from detailed.allreduce(comm, value, op, nbytes))
     p = comm.size
     pof2 = 1

@@ -148,12 +148,12 @@ class World:
         seq = self._msg_seq
         send_event = Event(eng, ("send", seq, src, dst))
         nbytes = payload.nbytes
+        now = eng.now
         if nbytes <= self._eager_threshold:
-            free, arrival = self.network.transfer(src, dst, nbytes)
+            free, arrival = self.network.transfer(now, src, dst, nbytes)
             msg = Message(ctx, src, dst, tag, payload, False, None, seq)
             # inlined engine._sched for the two per-message entries;
             # transfer() never returns a time before now
-            now = eng.now
             if free == now:
                 eng.heap_bypasses += 1
                 eng._ready.append((_K_FIRE, send_event, None))
@@ -170,7 +170,8 @@ class World:
                 heappush(eng._heap,
                          (arrival, eng._seq, _K_CALL1, self._deliver, msg))
         else:
-            _, hdr_arrival = self.network.transfer(src, dst, RTS_BYTES)
+            _, hdr_arrival = self.network.transfer(now, src, dst,
+                                                   RTS_BYTES)
             msg = Message(ctx, src, dst, tag, payload, True, send_event, seq)
             eng._sched(hdr_arrival, _K_CALL1, self._deliver, msg)
         return send_event
@@ -295,8 +296,8 @@ class World:
     def _start_transfer(self, args: tuple) -> None:
         """Rendezvous data phase: runs after the clear-to-send arrives."""
         msg, event = args
-        free, arrival = self.network.transfer(msg.src, msg.dst,
-                                              msg.payload.nbytes)
+        free, arrival = self.network.transfer(self.engine.now, msg.src,
+                                              msg.dst, msg.payload.nbytes)
         msg.send_event.fire_at(free)
         event.fire_at(arrival, (msg.payload, msg))
 

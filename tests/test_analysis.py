@@ -127,3 +127,25 @@ class TestCalibration:
                                        store_data=False),
             proc_counts=(4,))
         assert cal.ost_stream_bandwidth == pytest.approx(300e6, rel=0.2)
+
+
+class TestProtocolZooEntries:
+    def test_write_only_cell_reports_no_read_bandwidth(self):
+        from repro.analysis.protocol_zoo import (ZooLeaderboard,
+                                                 _measure)
+
+        wl = TileIOConfig(tile_rows=64, tile_cols=48, element_size=64,
+                          mode="both")
+        cfg = ExperimentConfig(nprocs=4)
+        both = _measure("tile", "ext2ph", "ext2ph", {},
+                        run_experiment(cfg, partial(tile_io_program, wl)))
+        write_only = _measure("tile", "ext2ph", "ext2ph", {}, tile_run(4))
+        assert both.read_mb_s > 0
+        assert write_only.read_mb_s is None
+        assert write_only.to_dict()["read_mb_s"] is None
+        board = ZooLeaderboard(nprocs=4, scale="small",
+                               entries=[both, write_only])
+        rows = board.summary().splitlines()
+        read_col = [row.split()[3] for row in rows
+                    if row.strip().startswith("tile")]
+        assert read_col[0] != "-" and read_col[1] == "-"

@@ -139,7 +139,7 @@ def test_transfer_batch_matches_scalar_loop(dsts, sizes, profiled):
     dsts, sizes = dsts[:n], sizes[:n]
     net_a, net_b = _two_networks(profiled=profiled)
     frees, arrivals = net_a.transfer_batch(0, dsts, sizes)
-    ref = [net_b.transfer(0, d, s) for d, s in zip(dsts, sizes)]
+    ref = [net_b.transfer(0.0, 0, d, s) for d, s in zip(dsts, sizes)]
     assert frees.tolist() == [r[0] for r in ref]
     assert arrivals.tolist() == [r[1] for r in ref]
     assert net_a.messages_sent == net_b.messages_sent

@@ -109,30 +109,30 @@ class TestNetworkModel:
     def test_isolated_message_cost(self):
         eng, net = self.make(latency=1e-6, bandwidth=1e9, send_overhead=1e-7,
                              recv_overhead=1e-7)
-        free, arrival = net.transfer(0, 2, 1000)  # cross node
+        free, arrival = net.transfer(0.0, 0, 2, 1000)  # cross node
         assert free == pytest.approx(1e-7 + 1000 / 1e9)
         # arrival = tx_start + latency + rx service
         assert arrival == pytest.approx(1e-6 + 1e-7 + 1000 / 1e9, rel=1e-9)
 
     def test_intra_node_uses_memcpy(self):
         eng, net = self.make(memcpy_bandwidth=2e9, send_overhead=1e-7)
-        free, arrival = net.transfer(0, 1, 2000)  # same node (block mapping)
+        free, arrival = net.transfer(0.0, 0, 1, 2000)  # same node (block mapping)
         assert free == arrival == pytest.approx(1e-7 + 2000 / 2e9)
         assert net.tx[0].total_requests == 0
 
     def test_outcast_serializes_on_sender_tx(self):
         eng, net = self.make(latency=0.0, bandwidth=1e6, send_overhead=0.0,
                              recv_overhead=0.0)
-        _, a1 = net.transfer(0, 2, 1_000_000)  # 1 s on the wire
-        _, a2 = net.transfer(0, 3, 1_000_000)
+        _, a1 = net.transfer(0.0, 0, 2, 1_000_000)  # 1 s on the wire
+        _, a2 = net.transfer(0.0, 0, 3, 1_000_000)
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(2.0)
 
     def test_incast_serializes_on_receiver_rx(self):
         eng, net = self.make(nprocs=6, latency=0.0, bandwidth=1e6,
                              send_overhead=0.0, recv_overhead=0.0)
-        _, a1 = net.transfer(0, 4, 1_000_000)  # nodes 0 -> 2
-        _, a2 = net.transfer(2, 4, 1_000_000)  # nodes 1 -> 2
+        _, a1 = net.transfer(0.0, 0, 4, 1_000_000)  # nodes 0 -> 2
+        _, a2 = net.transfer(0.0, 2, 4, 1_000_000)  # nodes 1 -> 2
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(2.0)
 
@@ -162,7 +162,7 @@ class TestNetworkModel:
 
     def test_traffic_counters(self):
         eng, net = self.make()
-        net.transfer(0, 2, 100)
-        net.transfer(0, 2, 200)
+        net.transfer(0.0, 0, 2, 100)
+        net.transfer(0.0, 0, 2, 200)
         assert net.messages_sent == 2
         assert net.bytes_sent == 300

@@ -12,9 +12,10 @@ identical FIFO reservation order, and the hot-path determinism gate
 Coverage mirrors the acceptance grid: every coalescible collective kind
 x eager/rendezvous sizes x arrival skew x node shapes, concurrent and
 back-to-back rounds, subcommunicators, hybrid composition, per-handle
-``with_backend`` overrides, NIC fault profiles, the declared fallbacks
-(size-1 comms, zero-latency networks), and the mismatched-collective
-ledger error.
+``with_backend`` overrides, NIC fault profiles, torus hop latency,
+ragged per-destination sizes across the eager threshold, the declared
+fallbacks (size-1 comms, zero-latency networks), and the
+mismatched-collective ledger error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import MachineConfig, NetworkParams
+from repro.cluster.topology import Torus3D
 from repro.errors import MPIError
 from repro.perf import perf_counters
 from repro.sim.effects import Sleep
@@ -55,10 +57,10 @@ def norm(x):
 
 
 def run_world(mode: str, p: int, cpn: int, program, profile_nodes=(),
-              **net_kw):
+              topology=None, **net_kw):
     world = World(MachineConfig(nprocs=p, cores_per_node=cpn),
                   collective_mode=mode,
-                  net_params=NetworkParams(**net_kw))
+                  net_params=NetworkParams(**net_kw), topology=topology)
     for node in profile_nodes:
         world.network.tx[node].profile = ServiceProfile(
             [(0.0, 1e-4, 0.25), (2e-4, 4e-4, 0.0)])
@@ -69,11 +71,13 @@ def run_world(mode: str, p: int, cpn: int, program, profile_nodes=(),
 
 
 def assert_macro_matches_detailed(p, cpn, program, profile_nodes=(),
-                                  **net_kw):
+                                  topology=None, **net_kw):
     det = run_world("detailed", p, cpn, program,
-                    profile_nodes=profile_nodes, **net_kw)
+                    profile_nodes=profile_nodes, topology=topology,
+                    **net_kw)
     mac = run_world("macro", p, cpn, program,
-                    profile_nodes=profile_nodes, **net_kw)
+                    profile_nodes=profile_nodes, topology=topology,
+                    **net_kw)
     assert det[0] == mac[0], "per-rank results diverge"
     assert det[1] == mac[1], "virtual-time / NIC state diverges"
 
@@ -128,6 +132,47 @@ def test_grid_rendezvous_sizes(kind, nb):
     assert_macro_matches_detailed(8, 4, grid_program(kind, 8, nb, 3e-4))
 
 
+@pytest.mark.parametrize("p", [6, 13])
+@pytest.mark.parametrize("kind,nb", [("barrier", 0), ("allgather", 8),
+                                     ("allgather", 200000),
+                                     ("alltoall", 8), ("alltoall", 200000),
+                                     ("rsb", 8), ("rsb", 200000)])
+def test_torus_hop_latency(p, kind, nb):
+    # hop_latency > 0 on a torus takes the per-pair wire_latency branch
+    # of NetworkModel.transfer and of the rendezvous clear-to-send
+    assert_macro_matches_detailed(
+        p, 2, grid_program(kind, p, nb, 3e-4),
+        topology=Torus3D((2, 2, 2)), hop_latency=2.5e-7)
+
+
+def ragged_program(kind: str, p: int):
+    """Per-destination sizes from 0 to 120000 bytes, straddling the
+    64 KiB eager threshold, so one round mixes eager and rendezvous
+    steps sized from each rank's own blocks."""
+    def program(comm):
+        r = comm.rank
+        yield Sleep(3e-4 * ((r * 7) % 5))
+        if kind == "alltoall":
+            res = yield from comm.alltoall(
+                [bytes((r * 7 + d * 13) % 5 * 30000) for d in range(p)])
+        else:
+            # a slot's arrays share one length across sources (SUM
+            # reduces them elementwise); lengths vary per slot
+            res = yield from comm.reduce_scatter_block(
+                [np.full((d * 5) % 4 * 5000, r, dtype=np.int64)
+                 for d in range(p)], op=SUM)
+        return comm.now, res
+
+    return program
+
+
+@pytest.mark.parametrize("profile_nodes", [(), (0, 1)])
+@pytest.mark.parametrize("kind", ["alltoall", "rsb"])
+def test_ragged_sizes_straddle_eager_threshold(kind, profile_nodes):
+    assert_macro_matches_detailed(7, 2, ragged_program(kind, 7),
+                                  profile_nodes=profile_nodes)
+
+
 def test_back_to_back_mixed_rounds():
     def program(comm):
         r = comm.rank
@@ -156,7 +201,7 @@ def test_disjoint_subcommunicators_overlap():
 
 def test_nic_fault_profiles_replay_bit_identically():
     # piecewise-degraded and stalled NICs exercise the profiled
-    # reserve_span path inside the walker's transfer replica
+    # reserve_span path of NetworkModel.transfer under the walker
     assert_macro_matches_detailed(
         6, 2, grid_program("alltoall", 6, 256, 3e-4),
         profile_nodes=(0, 1))
@@ -212,6 +257,16 @@ def test_zero_latency_network_falls_back():
     assert_macro_matches_detailed(5, 2,
                                   grid_program("allgather", 5, 8, 0.0),
                                   latency=0.0)
+
+
+@pytest.mark.parametrize("mode", ["detailed", "macro"])
+@pytest.mark.parametrize("kind", ["allgather", "alltoall", "allreduce",
+                                  "rsb"])
+def test_negative_size_rejected(mode, kind):
+    world = World(MachineConfig(nprocs=4, cores_per_node=2),
+                  collective_mode=mode, net_params=NetworkParams())
+    with pytest.raises(MPIError, match="payload size"):
+        world.launch(grid_program(kind, 4, -1, 0.0))
 
 
 def test_mismatched_collectives_raise():
