@@ -18,7 +18,6 @@ Run directly (not under pytest)::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py          # full scale
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke  # CI gate
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --scale-sweep 256,512,1024
 
 ``--smoke`` shrinks every config to seconds and additionally enforces
 the CI regression gate: wall clock must stay within ``REGRESSION_FACTOR``
@@ -31,15 +30,11 @@ Both modes also run the **macro equivalence gate**: every config is run
 once with ``collective_mode='detailed'`` and once with ``'macro'``, and
 all virtual-time metrics except the event count must match bit for bit.
 Full mode additionally records the macro-fidelity headline speedup for
-``tileio_detailed`` and a 4096-rank scale probe
+``tileio_detailed``, a 4096-rank scale probe
 (:func:`repro.harness.hotpath.run_scale`) that only the macro engine
-makes tractable.
-
-``--scale-sweep`` runs only the scale probe at the given rank counts
-and records wall seconds, messages and simulated messages per host
-second for each under ``scale_sweep`` in ``BENCH_hotpath.json``, with
-the host's CPU count, Python version and git sha; the other modes keep
-that block when they rewrite the file.
+makes tractable, and the same probe at ``SCALE_RANKS`` (wall seconds,
+messages and messages per host second under ``scale_sweep``).  Every
+record carries the host's CPU count, Python version and git sha.
 """
 
 from __future__ import annotations
@@ -62,6 +57,9 @@ OUT = HERE.parent / "BENCH_hotpath.json"
 
 #: smoke wall clock may grow to this multiple of the committed baseline
 REGRESSION_FACTOR = 1.5
+
+#: rank counts of the full mode's scale sweep
+SCALE_RANKS = (256, 512, 1024)
 
 #: timing repetitions (best-of), keyed by (config, smoke)
 REPS_FULL = {"tileio_detailed": 3, "btio_iview": 2, "flash_verified": 2}
@@ -107,58 +105,11 @@ def check_determinism(key: str, got: dict, expected: dict) -> list[str]:
     return errors
 
 
-def _git_sha() -> str | None:
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
-            text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return None
-
-
-def _previous() -> dict:
-    return json.loads(OUT.read_text()) if OUT.exists() else {}
-
-
-def scale_sweep(ranks: list[int]) -> int:
-    """Run the macro scale probe at each rank count; record the sweep."""
-    from repro.harness.hotpath import run_scale
-
-    rows = []
-    for n in ranks:
-        r = run_scale(n)
-        row = {"nprocs": n, "wall_s": r["wall_s"],
-               "messages": r["messages"],
-               "msgs_per_s": round(r["messages"] / r["wall_s"], 1),
-               "events": r["events"],
-               "elapsed_total": r["elapsed_total"]}
-        rows.append(row)
-        print(f"{n:>6} ranks: wall {row['wall_s']:.2f}s  "
-              f"{row['messages']} messages  "
-              f"{row['msgs_per_s']:.0f} msgs/s")
-    payload = _previous()
-    payload["scale_sweep"] = {
-        "probe": "repro.harness.hotpath.run_scale (tile-IO, ext2ph, macro)",
-        "host": {"cpus": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "machine": platform.machine(), "git_sha": _git_sha()},
-        "ranks": rows,
-    }
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small configs + CI wall-clock gate")
-    parser.add_argument("--scale-sweep", metavar="RANKS",
-                        help="comma-separated rank counts: run only the "
-                             "macro scale probe at each")
     args = parser.parse_args(argv)
-    if args.scale_sweep:
-        return scale_sweep([int(n) for n in args.scale_sweep.split(",")])
 
     ref = json.loads(REF.read_text())["configs"]
     smoke = args.smoke
@@ -232,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{macro_speedup['speedup']}x vs pre-optimization "
                   "engine")
 
-    scale = None
+    scale = sweep = None
     if not smoke:
         from repro.harness.hotpath import run_scale
 
@@ -241,6 +192,15 @@ def main(argv: list[str] | None = None) -> int:
               f"{scale['wall_s']:.1f}s  "
               f"({scale['events_per_sec']:.0f} events/s, "
               f"{scale['messages']} messages)")
+        sweep = []
+        for n in SCALE_RANKS:
+            r = run_scale(n)
+            sweep.append({"nprocs": n, "wall_s": r["wall_s"],
+                          "messages": r["messages"],
+                          "msgs_per_s": round(r["messages"] / r["wall_s"], 1),
+                          "elapsed_total": r["elapsed_total"]})
+            print(f"scale sweep: {n} ranks in {r['wall_s']:.2f}s  "
+                  f"({sweep[-1]['msgs_per_s']:.0f} msgs/s)")
 
     gate: dict = {}
     if smoke:
@@ -273,6 +233,10 @@ def main(argv: list[str] | None = None) -> int:
         "mode": "smoke" if smoke else "full",
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "git_sha": subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=HERE, capture_output=True,
+            text=True).stdout.strip() or None,
         "determinism_ok": not any("MISMATCH" in e or "reference says" in e
                                   for e in errors),
         "results": results,
@@ -282,11 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         payload["macro_speedup"] = macro_speedup
     if scale:
         payload["scale_macro"] = scale
+        payload["scale_sweep"] = sweep
     if gate:
         payload["smoke_gate"] = gate
-    sweep = _previous().get("scale_sweep")
-    if sweep:
-        payload["scale_sweep"] = sweep
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT}")
 

@@ -141,8 +141,8 @@ class _Shift(NamedTuple):
     ``(r - offs[k]) % p``, then waits the send: pairwise exchange has
     ``offs[k] = k + 1``, the ring ``1`` and dissemination ``2**k``.
     ``rule`` sizes the step: ``_CONST`` sends ``nbytes``, ``_OWN`` the
-    ``sizeof`` of the rank's own block for ``dst`` (``site.extra[r]``
-    holds its block list), ``_RING`` the block forwarded at step ``k``,
+    ``sizeof`` of the rank's own block for ``dst`` (``site.values[r]``
+    is its block list), ``_RING`` the block forwarded at step ``k``,
     which originated at rank ``r - k`` (``site.extra[r - k]`` holds that
     rank's block size, recorded at its arrival).
     """
@@ -211,19 +211,20 @@ class _Driver:
             self.shift = program
             self.prog_for = None
             self.progs = None
-            # every shift step sends exactly once
-            self.nmsgs = p * len(program.offs)
         else:
             self.shift = None
             self.prog_for = program
             self.progs = [None] * p
-            self.nmsgs = 0
+        self.nmsgs = 0
         self.results: Optional[list] = None
         self.done = 0
 
     def push_initial(self, r: int) -> None:
         core = self.core
-        if self.progs is not None:
+        if self.progs is None:
+            # every shift step sends exactly once
+            self.nmsgs += len(self.shift.offs)
+        else:
             prog = self.progs[r] = self.prog_for(self.site, r)
             self.nmsgs += sum(1 for step in prog if step[0] >= 0)
         heappush(core.heap,
@@ -400,7 +401,8 @@ class _Walker:
         else:
             prog = None
             offs, rule, size = shift
-            own = drv.site.extra
+            ring = drv.site.extra
+            blocks = drv.site.values[r]
             nsteps = len(offs)
         while True:
             k = step_i[r]
@@ -438,9 +440,9 @@ class _Walker:
                 if rule == _CONST:
                     nb = size
                 elif rule == _OWN:
-                    nb = sizeof(own[r][dst])
+                    nb = sizeof(blocks[dst])
                 else:
-                    nb = own[r - k if r >= k else r - k + p]
+                    nb = ring[r - k if r >= k else r - k + p]
             else:
                 dst, dstep, nb, src = prog[k]
                 if callable(nb):
@@ -588,14 +590,15 @@ class _Walker:
 
 
 def _macro_site(comm: "Communicator", kind: str, value: Any, program,
-                results_for, own: Any = None) -> Generator[Any, Any, Any]:
+                results_for, ring_nb: Optional[int] = None
+                ) -> Generator[Any, Any, Any]:
     """Park on the round's site; the walker replays the schedule.
 
     ``program`` is a :class:`_Shift` shared by every rank, or
     ``prog_for(site, r)``, which builds rank r's step list at its
     arrival (it may only touch rank r's own payload — other ranks'
-    sizes go through lazy ``nb`` callables).  ``own``, when given, is
-    stored as ``site.extra[r]`` for the shift size rules.
+    sizes go through lazy ``nb`` callables).  ``ring_nb``, when given, is
+    stored as ``site.extra[r]``: the ring's per-origin block size.
     ``results_for(site)`` runs once on the last-arriving rank, before
     any exit can fire (every exit strictly follows the last arrival),
     and returns the per-rank results the walker hands to
@@ -617,8 +620,8 @@ def _macro_site(comm: "Communicator", kind: str, value: Any, program,
     r = comm.rank
     eng = comm._engine
     site.values[r] = value
-    if own is not None:
-        site.extra[r] = own
+    if ring_nb is not None:
+        site.extra[r] = ring_nb
     site.arrivals[r] = eng.now
     site.order.append(r)
     ev = Event(eng, ("macro", desc.ctx, key, r))
@@ -698,7 +701,7 @@ def allgather(comm: "Communicator", value: Any,
     # ring: every step forwards one block to the right neighbour
     return (yield from _macro_site(
         comm, "allgather", value, _Shift(_offsets("ring", p), _RING),
-        results_for, own=_block_size(value, nbytes)))
+        results_for, ring_nb=_block_size(value, nbytes)))
 
 
 def alltoall(comm: "Communicator", values: list,
@@ -713,18 +716,14 @@ def alltoall(comm: "Communicator", values: list,
               else values)
 
     def results_for(site: _MacroSite) -> list:
-        vals = site.extra
-        results = []
-        for r in range(p):
-            out = [vals[s][r] for s in range(p)]
-            if isinstance(site.values[r], np.ndarray):
-                out = np.asarray(out, dtype=site.values[r].dtype)
-            results.append(out)
-        return results
+        vals = site.values
+        return [[vals[s][r] for s in range(p)] for r in range(p)]
 
-    return (yield from _macro_site(comm, "alltoall", values,
-                                   _pairwise(p, nbytes_each), results_for,
-                                   own=blocks))
+    result = yield from _macro_site(comm, "alltoall", blocks,
+                                    _pairwise(p, nbytes_each), results_for)
+    if isinstance(values, np.ndarray):
+        return np.asarray(result, dtype=values.dtype)
+    return result
 
 
 def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
@@ -745,8 +744,7 @@ def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
         return results
 
     return (yield from _macro_site(comm, "reduce_scatter_block", values,
-                                   _pairwise(p, nbytes), results_for,
-                                   own=values))
+                                   _pairwise(p, nbytes), results_for))
 
 
 def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
