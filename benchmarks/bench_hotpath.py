@@ -23,16 +23,20 @@ Run directly (not under pytest)::
 the CI regression gate: wall clock must stay within ``REGRESSION_FACTOR``
 of ``benchmarks/smoke_baseline.json`` (a soft 1.5x threshold, because CI
 runners are noisy and absolute speed varies by host generation; the
-determinism assertions are exact everywhere), and events/sec must stay
-above the committed ``_events_per_sec_floor`` in the same file.
+determinism assertions are exact everywhere), and the per-message
+reference runs of the equivalence gate must dispatch events faster than
+the committed ``_events_per_sec_floor`` in the same file (on the walker
+path one event stands for many messages, so it is no engine measure).
 
-Both modes also run the **macro equivalence gate**: every config is run
-once with ``collective_mode='detailed'`` and once with ``'macro'``, and
-all virtual-time metrics except the event count must match bit for bit.
-Full mode additionally records the macro-fidelity headline speedup for
-``tileio_detailed``, a 4096-rank scale probe
-(:func:`repro.harness.hotpath.run_scale`) that only the macro engine
-makes tractable, and the same probe at ``SCALE_RANKS`` (wall seconds,
+Both modes also run the **walker equivalence gate**: every config is run
+under ``collective_mode='detailed'`` once on the default path (round
+walker, coalesced exchange sends) and once in a per-message reference
+world (:func:`repro.simmpi.world._per_message_reference`); all
+virtual-time metrics except the event count must match bit for bit, and
+the reference must reproduce a config's pinned ``events_per_message``.
+Full mode additionally records a 4096-rank scale probe
+(:func:`repro.harness.hotpath.run_scale`) that only the walker makes
+tractable, and the same probe at ``SCALE_RANKS`` (wall seconds,
 messages and messages per host second under ``scale_sweep``).  Every
 record carries the host's CPU count, Python version and git sha.
 """
@@ -49,6 +53,7 @@ import sys
 import time
 
 from repro.harness.hotpath import CONFIGS, run_config
+from repro.simmpi.world import _per_message_reference
 
 HERE = pathlib.Path(__file__).resolve().parent
 REF = HERE / "ref_hotpath.json"
@@ -97,7 +102,7 @@ def check_determinism(key: str, got: dict, expected: dict) -> list[str]:
     """Compare a run's metrics against one reference entry."""
     errors = []
     for field, want in expected.items():
-        if field == "baseline_wall_s":
+        if field in ("baseline_wall_s", "events_per_message"):
             continue
         if got.get(field) != want:
             errors.append(f"{key}: {field} = {got.get(field)!r}, "
@@ -139,49 +144,38 @@ def main(argv: list[str] | None = None) -> int:
               f"baseline {baseline}s  speedup {entry['speedup']}x  "
               f"[{status}]")
 
-    # macro equivalence gate: run every config under an explicit
-    # 'detailed' and 'macro' override; every virtual-time field except
-    # the event count must match bit for bit (the macro engine replays
-    # the same physics through far fewer scheduler events)
+    # walker equivalence gate: every config under 'detailed' on the
+    # default path and in a per-message reference world; every
+    # virtual-time field except the event count must match bit for bit
+    # (the walker replays the same physics through far fewer events)
     equiv: dict = {}
     for name in CONFIGS:
         key = name + ("_smoke" if smoke else "")
-        det = run_config(name, smoke=smoke, collective_mode="detailed")
-        reps_m = 3 if (not smoke and name == "tileio_detailed") else 1
-        mac = None
-        mac_wall = float("inf")
-        for _ in range(reps_m):
+        got = run_config(name, smoke=smoke, collective_mode="detailed")
+        perf_out: list = []
+        with _per_message_reference():
             t0 = time.perf_counter()
-            mac = run_config(name, smoke=smoke, collective_mode="macro")
-            mac_wall = min(mac_wall, time.perf_counter() - t0)
-        diffs = [k for k in det if k != "events" and det[k] != mac[k]]
+            ref_run = run_config(name, smoke=smoke, perf_out=perf_out,
+                                 collective_mode="detailed")
+            ref_wall = time.perf_counter() - t0
+        diffs = [k for k in got if k != "events" and got[k] != ref_run[k]]
+        pinned = ref[key].get("events_per_message")
+        if pinned is not None and ref_run["events"] != pinned:
+            diffs.append("events_per_message")
         equiv[key] = {
             "bit_identical": not diffs,
-            "events_detailed": det["events"],
-            "events_macro": mac["events"],
-            "macro_wall_s": round(mac_wall, 4),
+            "events": got["events"],
+            "events_per_message": ref_run["events"],
+            "per_message_wall_s": round(ref_wall, 4),
+            "per_message_events_per_sec": round(
+                perf_out[0].events_per_sec, 1),
         }
-        print(f"{key:>24}: macro {'==' if not diffs else '!='} detailed  "
-              f"events {det['events']} -> {mac['events']}  "
-              f"macro wall {mac_wall:.3f}s")
+        print(f"{key:>24}: walker {'==' if not diffs else '!='} "
+              f"per-message  events {ref_run['events']} -> "
+              f"{got['events']}  per-message wall {ref_wall:.3f}s")
         if diffs:
-            errors.append(f"{key}: macro/detailed metrics differ in "
+            errors.append(f"{key}: walker/per-message metrics differ in "
                           f"{diffs} (reference says bit-identical)")
-
-    macro_speedup = None
-    if not smoke:
-        baseline = ref["tileio_detailed"].get("baseline_wall_s")
-        mw = equiv["tileio_detailed"]["macro_wall_s"]
-        if baseline:
-            macro_speedup = {
-                "config": "tileio_detailed",
-                "baseline_wall_s": baseline,
-                "macro_wall_s": mw,
-                "speedup": round(baseline / mw, 3),
-            }
-            print(f"macro headline: tileio_detailed "
-                  f"{macro_speedup['speedup']}x vs pre-optimization "
-                  "engine")
 
     scale = sweep = None
     if not smoke:
@@ -218,15 +212,15 @@ def main(argv: list[str] | None = None) -> int:
                     f"{REGRESSION_FACTOR}x smoke baseline "
                     f"({base[key]}s -> limit {limit:.3f}s)")
             if eps_floor:
-                eps = entry["perf"]["events_per_sec"]
+                eps = equiv[key]["per_message_events_per_sec"]
                 gate[key]["events_per_sec"] = eps
                 gate[key]["events_per_sec_floor"] = eps_floor
                 if eps < eps_floor:
                     gate[key]["ok"] = False
                     errors.append(
                         f"{key}: {eps:.0f} events/s below the committed "
-                        f"floor of {eps_floor} (engine throughput "
-                        "regression)")
+                        f"floor of {eps_floor} in the per-message "
+                        "reference run (engine throughput regression)")
 
     payload = {
         "benchmark": "hotpath",
@@ -240,10 +234,8 @@ def main(argv: list[str] | None = None) -> int:
         "determinism_ok": not any("MISMATCH" in e or "reference says" in e
                                   for e in errors),
         "results": results,
-        "macro_equivalence": equiv,
+        "walker_equivalence": equiv,
     }
-    if macro_speedup:
-        payload["macro_speedup"] = macro_speedup
     if scale:
         payload["scale_macro"] = scale
         payload["scale_sweep"] = sweep

@@ -3,7 +3,7 @@
 Runs the detailed-physics shard probe
 (:func:`repro.harness.hotpath.shard_scale_config` — parcoll tile-IO,
 world collectives analytic, everything inside an FA subgroup at
-per-message fidelity) at 4096 ranks with 1, 2 and 4 engine shards, and
+``detailed`` fidelity) at 4096 ranks with 1, 2 and 4 engine shards, and
 checks three things:
 
 1. **Bit-identity** — every sharded run must reproduce the unsharded

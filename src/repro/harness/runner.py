@@ -24,8 +24,8 @@ class ExperimentConfig:
     model mode (no data bytes) so paper-scale runs stay cheap.
 
     ``collective_mode`` is a collective-fidelity spec, any spelling in
-    :data:`repro.simmpi.backends.SPELLINGS`: ``analytic``, ``detailed``,
-    ``macro``, or a composite choosing among them per category
+    :data:`repro.simmpi.backends.SPELLINGS`: ``analytic``, ``detailed``
+    (alias ``macro``), or a composite choosing among them per category
     (``hybrid``), per declared size (``sizethreshold``) or per
     communicator scope (``scoped``, the sharded-run configuration).
 

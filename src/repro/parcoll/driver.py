@@ -16,11 +16,10 @@ communicator participate):
    own File Area — with the intermediate-view translator when the plan
    demands it.
 
-ParColl needs no macro-coalescing code of its own: subgroup
-communicators inherit the parent's fidelity policy, so under
-the ``macro`` exchange fidelity the per-subgroup ext2ph shuffle rides
-the same batched transfer schedules (``Communicator.isend_batch``) and
-macro collective rounds as the flat protocol.
+ParColl needs no coalescing code of its own: subgroup communicators
+inherit the parent's fidelity policy, so under ``detailed`` the
+per-subgroup ext2ph shuffle rides the same batched sends
+(``Communicator.isend_batch``) and walker rounds as the flat protocol.
 """
 
 from __future__ import annotations

@@ -7,11 +7,10 @@ operations collective I/O depends on (barrier, bcast, reduce, allreduce,
 gather(v), allgather(v), alltoall(v), scan) behind a collective-fidelity
 policy (:mod:`repro.simmpi.backends`) that picks, per call:
 
-* ``detailed`` — collectives run their real message schedules
-  (dissemination barrier, binomial trees, recursive doubling, ring,
-  pairwise exchange) as simulated point-to-point traffic;
-* ``macro`` — the same schedules replayed in closed form, bit-identical
-  to ``detailed``;
+* ``detailed`` (alias ``macro``) — collectives run their real message
+  schedules (dissemination barrier, binomial trees, recursive doubling,
+  ring, pairwise exchange) as simulated point-to-point traffic; the
+  synchronizing ones replay theirs in closed form, bit-identically;
 * ``analytic`` — a collective is a synchronization site whose exit time is
   ``max(entry times) + LogP-style cost``; used for large-scale sweeps and
   validated against ``detailed`` in tests and an ablation benchmark.

@@ -1,17 +1,17 @@
-"""Macro collective fidelity: coalesce a round's messages into closed form.
+"""The round walker: ``detailed`` collective rounds replayed in closed form.
 
-The ``detailed`` fidelity simulates every collective message as engine
-traffic — one generator resumption, two scheduler entries, a mailbox
-match, and an event fire per message.  For the synchronizing collectives
-(barrier, allgather, alltoall, allreduce, reduce_scatter_block) the
-message schedule is *statically known*: every send's destination, size,
-and matching receive are fixed by the algorithm, and no rank can leave
-before every rank has entered (each exit transitively depends on a
-message from every participant).  The ``macro`` fidelity exploits
-exactly that: participating ranks park on one event apiece while a
-shared per-world *walker* replays the detailed algorithm's message
-schedule as a timestamp-ordered walk over the send/receive dependency
-graph — no per-message tasks, mailboxes, or event objects.
+Per message, :mod:`repro.simmpi.collectives_detailed` costs one
+generator resumption, two scheduler entries, a mailbox match, and an
+event fire.  For the synchronizing collectives (barrier, allgather,
+alltoall, allreduce, reduce_scatter_block) the message schedule is
+*statically known*: every send's destination, size, and matching
+receive are fixed by the algorithm, and no rank can leave before every
+rank has entered (each exit transitively depends on a message from every
+participant).  So under ``detailed`` (``macro`` is an alias) the
+participating ranks park on one event apiece while a shared per-world
+*walker* replays the message schedule as a timestamp-ordered walk over
+the send/receive dependency graph — no per-message tasks, mailboxes, or
+event objects.
 
 Four of the five schedules are *shifts*: at step ``k`` rank ``r`` sends
 to ``(r + off_k) % p`` and receives from ``(r - off_k) % p``, with
@@ -62,13 +62,9 @@ The walk reproduces the engine's execution *bit-identically*:
   the ordering and the walk advances inline at full speed.
 
 Non-synchronizing collectives (bcast, reduce, gather, scatter, scan,
-exscan) can complete on some ranks before others arrive, so a site-based
-replay would be unsound; under the ``macro`` fidelity those fall back to
-the detailed message schedule (see :meth:`Communicator._collective`).
-The walk itself falls back when message timestamps are not strictly
-ordered after their causes (``send_overhead == 0`` or ``latency == 0``
-make same-time scheduling possible, which the replay cannot order), and
-for single-rank communicators (whose detailed path never yields).
+exscan) can complete on some ranks before others arrive, so they always
+run the per-message schedule (see :meth:`Communicator._collective`), as
+does every round :func:`needs_per_message` turns away.
 """
 
 from __future__ import annotations
@@ -83,7 +79,6 @@ from repro.errors import MPIError, SimulationError
 from repro.perf import perf_counters
 from repro.sim.effects import WaitEvent
 from repro.sim.engine import _K_CALL1, _K_FIRE, Event
-from repro.simmpi import collectives_detailed as detailed
 from repro.simmpi.p2p import RTS_BYTES
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import ReduceOp
@@ -98,17 +93,19 @@ _INF = float("inf")
 _BIG = 1 << 60
 
 
-def _usable(comm: "Communicator") -> bool:
-    """Can the walk order this world's schedules exactly?
+def needs_per_message(comm: "Communicator", nbytes: Optional[int]) -> bool:
+    """Must this round run its per-message schedule instead of the walk?
 
-    Strictly positive send overhead and wire latency guarantee every
-    transfer completes strictly after it was issued, so no collective
-    message ever lands on the engine's same-time ready deque — the
-    ordering regime the walker reproduces.  Rank-symmetric: depends only
-    on world-global parameters.
+    Yes in a per-message reference world, for negative explicit sizes
+    (the per-message path rejects them with its own error), and unless
+    send overhead and wire latency are both > 0: only then does every
+    transfer complete strictly after its issue, so no collective message
+    lands on the engine's same-time ready deque — the ordering regime
+    the walk reproduces.  Every input is rank-symmetric.
     """
     p = comm.world.network.params
-    return p.send_overhead > 0.0 and p.latency > 0.0
+    ok = comm.world._coalesce and p.send_overhead > 0.0 and p.latency > 0.0
+    return not ok or (nbytes is not None and nbytes < 0)
 
 
 class _MacroSite:
@@ -657,14 +654,6 @@ def _block_size(v: Any, nbytes: Optional[int]) -> int:
     return nbytes if nbytes is not None else sizeof(v)
 
 
-def _fallback(comm: "Communicator", nbytes: Optional[int]) -> bool:
-    """Run the detailed schedule instead: single-rank communicators,
-    networks the walk cannot order, and negative explicit sizes (which
-    the detailed path rejects with its own error)."""
-    return (comm.size == 1 or not _usable(comm)
-            or (nbytes is not None and nbytes < 0))
-
-
 def _pairwise(p: int, nbytes: Optional[int]) -> _Shift:
     """Pairwise exchange: a fixed size, or each block's own size."""
     offs = _offsets("pairwise", p)
@@ -674,8 +663,6 @@ def _pairwise(p: int, nbytes: Optional[int]) -> _Shift:
 
 
 def barrier(comm: "Communicator") -> Generator[Any, Any, None]:
-    if _fallback(comm, None):
-        return (yield from detailed.barrier(comm))
     p = comm.size
     return (yield from _macro_site(
         comm, "barrier", None, _Shift(_offsets("dissemination", p), _CONST),
@@ -684,8 +671,6 @@ def barrier(comm: "Communicator") -> Generator[Any, Any, None]:
 
 def allgather(comm: "Communicator", value: Any,
               nbytes: Optional[int]) -> Generator[Any, Any, list]:
-    if _fallback(comm, nbytes):
-        return (yield from detailed.allgather(comm, value, nbytes))
     p = comm.size
 
     def results_for(site: _MacroSite) -> list:
@@ -706,8 +691,6 @@ def allgather(comm: "Communicator", value: Any,
 
 def alltoall(comm: "Communicator", values: list,
              nbytes_each: Optional[int]) -> Generator[Any, Any, list]:
-    if _fallback(comm, nbytes_each):
-        return (yield from detailed.alltoall(comm, values, nbytes_each))
     p = comm.size
     # index plain ints, not numpy scalars, exactly like the detailed
     # pairwise loop; np.asarray below restores dtype
@@ -728,9 +711,6 @@ def alltoall(comm: "Communicator", values: list,
 
 def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
                          nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    if _fallback(comm, nbytes):
-        return (yield from detailed.reduce_scatter_block(
-            comm, values, op, nbytes))
     p = comm.size
 
     def results_for(site: _MacroSite) -> list:
@@ -749,8 +729,6 @@ def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
 
 def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
               nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    if _fallback(comm, nbytes):
-        return (yield from detailed.allreduce(comm, value, op, nbytes))
     p = comm.size
     pof2 = 1
     while pof2 * 2 <= p:

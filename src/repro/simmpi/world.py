@@ -9,8 +9,9 @@ completion.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from heapq import heappush
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
 import numpy as np
 
@@ -29,6 +30,21 @@ from repro.simmpi.p2p import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import SUM, ReduceOp
 from repro.simmpi.timers import TimeBreakdown
+
+_per_message = False  # set by _per_message_reference; read once per World
+
+
+@contextmanager
+def _per_message_reference() -> Iterator[None]:
+    """Worlds built inside run ``detailed`` one engine event per message,
+    without the round walker or coalesced exchange sends: the reference
+    the equivalence gates compare the default path against."""
+    global _per_message
+    prev, _per_message = _per_message, True
+    try:
+        yield
+    finally:
+        _per_message = prev
 
 
 class Proc:
@@ -108,6 +124,7 @@ class World:
         self._eager_threshold = self.network.params.eager_threshold
         #: default fidelity policy of every communicator without an override
         self.backend = resolve_backend(collective_mode)
+        self._coalesce = not _per_message
         #: optional FaultInjector applying NodeSlowdown events here
         self.faults = faults
         self.nprocs = machine.nprocs
@@ -195,8 +212,8 @@ class World:
         time as issuing ``len(entries)`` :meth:`send_message` calls in
         the same order; callers must not depend on *individual* eager
         request completions (they share one event).  Intended for
-        macro-coalesced exchange rounds, where per-round message sets
-        are static; the default per-message fidelities never call it.
+        coalesced ``detailed`` exchange rounds, where per-round message
+        sets are static (:meth:`Communicator.isend_batch`).
         """
         eng = self.engine
         net = self.network
@@ -422,13 +439,14 @@ class Communicator:
                     tag: int = 0) -> list[Request]:
         """:meth:`isend` of every ``(dest, payload)`` pair, in order.
 
-        When the communicator's ``exchange`` fidelity is ``macro`` the
+        When the communicator's ``exchange`` fidelity is ``detailed`` the
         sends coalesce through :meth:`World.send_batch` (see its
         contract) into one vectorized NIC schedule instead of
-        per-message events; at any other fidelity each pair goes through
-        :meth:`isend`.
+        per-message events; under ``analytic`` — and in a per-message
+        reference world — each pair goes through :meth:`isend`.
         """
-        if self.backend.fidelity("exchange", comm=self) != "macro":
+        if (not self.world._coalesce
+                or self.backend.fidelity("exchange", comm=self) != "detailed"):
             return [self.isend(obj, dest, tag) for dest, obj in items]
         ctx = self.desc.ctx
         entries = [
@@ -576,7 +594,7 @@ class Communicator:
                     analytic_path: Callable[[], Generator],
                     detailed_path: Callable[[], Generator],
                     nbytes: Optional[int] = None,
-                    macro_path: Optional[Callable[[], Generator]] = None
+                    walker_path: Optional[Callable[[], Generator]] = None
                     ) -> Generator[Any, Any, Any]:
         """Run one collective through the backend-selected path.
 
@@ -600,12 +618,15 @@ class Communicator:
         parameter verbatim — never a locally-computed ``sizeof`` — so
         every rank hands the backend the same number.
 
-        ``macro_path`` is the coalesced closed-form replay of the
-        detailed schedule; only the synchronizing collectives provide
-        one (a rank may leave bcast/reduce/gather/scatter/scan before
-        every rank has entered, which a site-based replay cannot model),
-        so under the ``macro`` fidelity the rest fall back to the
-        detailed path — a kind-based, rank-symmetric decision.
+        ``walker_path`` is the round walker's closed-form replay of the
+        per-message schedule (:mod:`repro.simmpi.collectives_macro`),
+        which is how ``detailed`` runs unless
+        :func:`~repro.simmpi.collectives_macro.needs_per_message` says
+        otherwise.  Only the synchronizing collectives provide one (a
+        rank may leave bcast/reduce/gather/scatter/scan before every
+        rank has entered, which a site-based replay cannot model), so
+        the rest run their per-message schedule — a kind-based,
+        rank-symmetric decision.
         """
         self._op_state[0] += 1
         t0 = self.now
@@ -616,16 +637,10 @@ class Communicator:
             self._check_fidelity_symmetry(fid, category)
         if fid == "analytic":
             path = analytic_path
-        elif fid == "detailed":
+        elif walker_path is None or macro.needs_per_message(self, nbytes):
             path = detailed_path
-        elif fid == "macro":
-            path = macro_path if macro_path is not None else detailed_path
         else:
-            raise MPIError(
-                f"backend {self.backend.describe()!r} selected unknown "
-                f"fidelity {fid!r} for category {category!r}; "
-                f"expected one of ['analytic', 'detailed', 'macro']"
-            )
+            path = walker_path
         result = yield from path()
         self._charge(category, t0)
         return result
@@ -643,7 +658,7 @@ class Communicator:
 
         return (yield from self._collective(
             category, a, lambda: detailed.barrier(self), nbytes=0,
-            macro_path=lambda: macro.barrier(self)))
+            walker_path=lambda: macro.barrier(self)))
 
     def bcast(self, obj: Any, root: int = 0, nbytes: Optional[int] = None,
               category: str = "sync") -> Generator[Any, Any, Any]:
@@ -702,7 +717,7 @@ class Communicator:
                                         kind="allreduce"),
             lambda: detailed.allreduce(self, value, op, nbytes),
             nbytes=nbytes,
-            macro_path=lambda: macro.allreduce(self, value, op, nbytes)))
+            walker_path=lambda: macro.allreduce(self, value, op, nbytes)))
 
     def gather(self, value: Any, root: int = 0, nbytes: Optional[int] = None,
                category: str = "sync") -> Generator[Any, Any, Optional[list]]:
@@ -747,7 +762,7 @@ class Communicator:
             analytic_site,
             lambda: detailed.allgather(self, value, nbytes),
             nbytes=nbytes,
-            macro_path=lambda: macro.allgather(self, value, nbytes)))
+            walker_path=lambda: macro.allgather(self, value, nbytes)))
 
     def alltoall(self, values: list, nbytes_each: Optional[int] = None,
                  category: str = "sync") -> Generator[Any, Any, list]:
@@ -782,7 +797,7 @@ class Communicator:
             analytic_site,
             lambda: detailed.alltoall(self, values, nbytes_each),
             nbytes=nbytes_each,
-            macro_path=lambda: macro.alltoall(self, values, nbytes_each)))
+            walker_path=lambda: macro.alltoall(self, values, nbytes_each)))
 
     def scatter(self, values: Optional[list] = None, root: int = 0,
                 nbytes: Optional[int] = None,
@@ -834,7 +849,7 @@ class Communicator:
                                         kind="reduce_scatter_block"),
             lambda: detailed.reduce_scatter_block(self, values, op, nbytes),
             nbytes=nbytes,
-            macro_path=lambda: macro.reduce_scatter_block(
+            walker_path=lambda: macro.reduce_scatter_block(
                 self, values, op, nbytes)))
 
     def exscan(self, value: Any, op: ReduceOp = SUM,

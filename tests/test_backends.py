@@ -10,7 +10,8 @@ from repro.cluster import MachineConfig, NetworkParams
 from repro.errors import MPIError, MPIIOError, ParCollError
 from repro.datatypes import BYTE, Vector
 from repro.simmpi import World, available_backends, resolve_backend
-from repro.simmpi.world import Communicator
+from repro.simmpi.backends import FIDELITIES, SPELLINGS
+from repro.simmpi.world import Communicator, _per_message_reference
 from tests.conftest import Stack, rank_pattern
 
 ALL_MODES = ("analytic", "detailed", "hybrid:sync=analytic,default=detailed")
@@ -83,13 +84,14 @@ _DERIVED_COMM = SimpleNamespace(desc=SimpleNamespace(ctx=3))
 # picked fidelity).  The fidelity string lists world-communicator calls,
 # then derived-communicator calls; each three-letter group is one
 # category (sync, exchange, io) and its letters are the declared sizes
-# None, 8 and 1 MiB (a=analytic, d=detailed, m=macro).
+# None, 8 and 1 MiB (a=analytic, d=detailed).  ``macro`` is an alias of
+# ``detailed``, so it never survives canonicalization.
 @pytest.mark.parametrize("spec,canonical,picks", [
     ("analytic", "analytic", "aaa aaa aaa / aaa aaa aaa"),
     ("detailed", "detailed", "ddd ddd ddd / ddd ddd ddd"),
-    ("macro", "macro", "mmm mmm mmm / mmm mmm mmm"),
+    ("macro", "detailed", "ddd ddd ddd / ddd ddd ddd"),
     ("analytic:", "analytic", "aaa aaa aaa / aaa aaa aaa"),
-    ("macro:", "macro", "mmm mmm mmm / mmm mmm mmm"),
+    ("macro:", "detailed", "ddd ddd ddd / ddd ddd ddd"),
     ("hybrid", "hybrid:sync=analytic,default=detailed",
      "aaa ddd ddd / aaa ddd ddd"),
     ("hybrid:", "hybrid:sync=analytic,default=detailed",
@@ -99,16 +101,16 @@ _DERIVED_COMM = SimpleNamespace(desc=SimpleNamespace(ctx=3))
     ("hybrid:sync=analytic,default=detailed",
      "hybrid:sync=analytic,default=detailed", "aaa ddd ddd / aaa ddd ddd"),
     ("hybrid:sync=macro,default=detailed",
-     "hybrid:sync=macro,default=detailed", "mmm ddd ddd / mmm ddd ddd"),
+     "hybrid:sync=detailed,default=detailed", "ddd ddd ddd / ddd ddd ddd"),
     ("hybrid:io=detailed,sync=analytic",
      "hybrid:io=detailed,sync=analytic,default=detailed",
      "aaa ddd ddd / aaa ddd ddd"),
     ("hybrid:default=analytic", "hybrid:default=analytic",
      "aaa aaa aaa / aaa aaa aaa"),
-    ("hybrid:exchange=macro", "hybrid:exchange=macro,default=detailed",
-     "ddd mmm ddd / ddd mmm ddd"),
+    ("hybrid:exchange=macro", "hybrid:exchange=detailed,default=detailed",
+     "ddd ddd ddd / ddd ddd ddd"),
     ("hybrid: sync = analytic , default = macro",
-     "hybrid:sync=analytic,default=macro", "aaa mmm mmm / aaa mmm mmm"),
+     "hybrid:sync=analytic,default=detailed", "aaa ddd ddd / aaa ddd ddd"),
     ("hybrid:sync=detailed,sync=analytic",
      "hybrid:sync=analytic,default=detailed", "aaa ddd ddd / aaa ddd ddd"),
     ("sizethreshold", "sizethreshold:65536", "dda dda dda / dda dda dda"),
@@ -117,29 +119,29 @@ _DERIVED_COMM = SimpleNamespace(desc=SimpleNamespace(ctx=3))
      "dda dda dda / dda dda dda"),
     ("sizethreshold:65536", "sizethreshold:65536",
      "dda dda dda / dda dda dda"),
-    ("sizethreshold:8,below=macro", "sizethreshold:8,below=macro",
-     "maa maa maa / maa maa maa"),
+    ("sizethreshold:8,below=macro", "sizethreshold:8",
+     "daa daa daa / daa daa daa"),
     ("sizethreshold:below=analytic,above=detailed",
      "sizethreshold:65536,below=analytic,above=detailed",
      "aad aad aad / aad aad aad"),
-    ("sizethreshold:,above=macro", "sizethreshold:65536,above=macro",
-     "ddm ddm ddm / ddm ddm ddm"),
+    ("sizethreshold:,above=macro", "sizethreshold:65536,above=detailed",
+     "ddd ddd ddd / ddd ddd ddd"),
     ("sizethreshold:1048577", "sizethreshold:1048577",
      "ddd ddd ddd / ddd ddd ddd"),
-    ("scoped", "scoped:world=analytic,default=macro",
-     "aaa aaa aaa / mmm mmm mmm"),
-    ("scoped:", "scoped:world=analytic,default=macro",
-     "aaa aaa aaa / mmm mmm mmm"),
+    ("scoped", "scoped:world=analytic,default=detailed",
+     "aaa aaa aaa / ddd ddd ddd"),
+    ("scoped:", "scoped:world=analytic,default=detailed",
+     "aaa aaa aaa / ddd ddd ddd"),
     ("scoped:default=detailed", "scoped:world=analytic,default=detailed",
      "aaa aaa aaa / ddd ddd ddd"),
     ("scoped:world=analytic,default=macro",
-     "scoped:world=analytic,default=macro", "aaa aaa aaa / mmm mmm mmm"),
+     "scoped:world=analytic,default=detailed", "aaa aaa aaa / ddd ddd ddd"),
     ("scoped:world=analytic,default=detailed",
      "scoped:world=analytic,default=detailed", "aaa aaa aaa / ddd ddd ddd"),
-    ("scoped:world=detailed", "scoped:world=detailed,default=macro",
-     "ddd ddd ddd / mmm mmm mmm"),
+    ("scoped:world=detailed", "scoped:world=detailed,default=detailed",
+     "ddd ddd ddd / ddd ddd ddd"),
     ("scoped:world=macro,default=analytic",
-     "scoped:world=macro,default=analytic", "mmm mmm mmm / aaa aaa aaa"),
+     "scoped:world=detailed,default=analytic", "ddd ddd ddd / aaa aaa aaa"),
 ])
 def test_spelling_table_is_pinned(spec, canonical, picks):
     policy = resolve_backend(spec)
@@ -152,6 +154,19 @@ def test_spelling_table_is_pinned(spec, canonical, picks):
         for cat in ("sync", "exchange", "io")
     ]
     assert f"{' '.join(groups[:3])} / {' '.join(groups[3:])}" == picks
+
+
+def test_macro_is_an_alias_of_detailed():
+    assert FIDELITIES == ("analytic", "detailed")
+    assert "macro" in SPELLINGS
+    assert resolve_backend("macro") == resolve_backend("detailed")
+    assert resolve_backend("scoped").describe() == \
+        "scoped:world=analytic,default=detailed"
+    for spec in ("hybrid:sync=macro,default=detailed",
+                 "sizethreshold:8,below=macro",
+                 "scoped:world=macro,default=analytic"):
+        assert resolve_backend(spec) == \
+            resolve_backend(spec.replace("macro", "detailed"))
 
 
 def test_hybrid_describe_is_canonical_and_round_trips():
@@ -174,6 +189,10 @@ def test_hybrid_policy_picks_per_category():
     assert b.fidelity("sync") == "analytic"
     assert b.fidelity("exchange") == "detailed"
     assert b.fidelity("io") == "detailed"
+    m = resolve_backend("hybrid:exchange=macro,default=analytic")
+    assert m.fidelity("sync") == "analytic"
+    assert m.fidelity("exchange") == "detailed"
+    assert m.fidelity("io") == "analytic"
     # policies are built from spec strings only
     with pytest.raises(MPIError, match="must be a string"):
         resolve_backend(b)
@@ -214,21 +233,23 @@ def test_hybrid_charges_the_callers_category():
 # ----------------------------------------------------------------------
 def _count_paths(monkeypatch, mode, nprocs=4):
     from repro.simmpi import collectives_detailed as detailed
+    from repro.simmpi import collectives_macro as walker
 
-    counts = {"analytic": 0, "detailed": 0}
+    counts = {"analytic": 0, "detailed": 0, "walker": 0}
     real_site = Communicator._analytic_site
-    real_allreduce = detailed.allreduce
 
-    def counting_site(self, *a, **kw):
-        counts["analytic"] += 1
-        return real_site(self, *a, **kw)
+    def counting(key, real):
+        def wrapped(*a, **kw):
+            counts[key] += 1
+            return real(*a, **kw)
+        return wrapped
 
-    def counting_allreduce(*a, **kw):
-        counts["detailed"] += 1
-        return real_allreduce(*a, **kw)
-
-    monkeypatch.setattr(Communicator, "_analytic_site", counting_site)
-    monkeypatch.setattr(detailed, "allreduce", counting_allreduce)
+    monkeypatch.setattr(Communicator, "_analytic_site",
+                        counting("analytic", real_site))
+    monkeypatch.setattr(detailed, "allreduce",
+                        counting("detailed", detailed.allreduce))
+    monkeypatch.setattr(walker, "allreduce",
+                        counting("walker", walker.allreduce))
 
     w = make_world(nprocs, mode)
 
@@ -243,12 +264,19 @@ def test_analytic_mode_never_constructs_detailed_path(monkeypatch):
     counts = _count_paths(monkeypatch, "analytic")
     assert counts["analytic"] == 4   # one site entry per rank
     assert counts["detailed"] == 0
+    assert counts["walker"] == 0
 
 
 def test_detailed_mode_never_constructs_analytic_path(monkeypatch):
+    # detailed allreduce replays its schedule through the round walker;
+    # only a per-message reference world runs it message by message
     counts = _count_paths(monkeypatch, "detailed")
-    assert counts["detailed"] == 4
+    assert counts["walker"] == 4
+    assert counts["detailed"] == 0
     assert counts["analytic"] == 0
+    with _per_message_reference():
+        counts = _count_paths(monkeypatch, "detailed")
+    assert counts == {"analytic": 0, "detailed": 4, "walker": 0}
 
 
 def test_analytic_collectives_produce_no_network_traffic():

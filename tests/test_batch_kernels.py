@@ -33,6 +33,7 @@ from repro.sim import Engine, FIFOResource
 from repro.sim.resources import ServiceProfile
 from repro.simmpi import World
 from repro.simmpi.payload import Payload
+from repro.simmpi.world import _per_message_reference
 
 # -- strategies -------------------------------------------------------
 
@@ -235,9 +236,9 @@ def test_send_batch_virtual_times_match_per_message(sizes):
     items = [1 + (i % 3) for i in range(len(sizes))]
     out = []
     for use_batch in (False, True):
-        # isend_batch coalesces only under a macro exchange fidelity
+        # isend_batch coalesces only under a detailed exchange fidelity
         w = World(MachineConfig(nprocs=4, cores_per_node=2),
-                  net_params=NetworkParams(), collective_mode="macro")
+                  net_params=NetworkParams(), collective_mode="detailed")
         before = perf_counters.messages_coalesced
         out.append(_exchange(w, use_batch, items,
                              lambda i: sizes[i]))
@@ -247,15 +248,26 @@ def test_send_batch_virtual_times_match_per_message(sizes):
 
 
 @pytest.mark.parametrize("mode,coalesced", [
-    ("analytic", 0), ("detailed", 0), ("scoped", 0),
+    ("analytic", 0), ("detailed", 3), ("scoped", 0),
     ("macro", 3), ("hybrid:exchange=macro", 3),
+    ("hybrid:exchange=analytic", 0), ("scoped:world=detailed", 3),
 ])
 def test_isend_batch_coalesces_only_under_macro_exchange(mode, coalesced):
+    # 'macro' is an alias of 'detailed'; the exchange fidelity decides
     w = World(MachineConfig(nprocs=4, cores_per_node=2),
               net_params=NetworkParams(), collective_mode=mode)
     before = perf_counters.messages_coalesced
     _exchange(w, True, [1, 2, 3], lambda i: 64)
     assert perf_counters.messages_coalesced - before == coalesced
+
+
+def test_per_message_reference_world_never_coalesces():
+    with _per_message_reference():
+        w = World(MachineConfig(nprocs=4, cores_per_node=2),
+                  net_params=NetworkParams(), collective_mode="detailed")
+    before = perf_counters.messages_coalesced
+    _exchange(w, True, [1, 2, 3], lambda i: 64)
+    assert perf_counters.messages_coalesced == before
 
 
 def test_isend_batch_rejects_out_of_range_rank():

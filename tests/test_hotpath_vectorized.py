@@ -27,6 +27,7 @@ import pytest
 
 from repro.datatypes.flatten import intersect_range
 from repro.harness.hotpath import CONFIGS, run_config
+from repro.simmpi.world import _per_message_reference
 from repro.mpiio.two_phase import (_extract_data_reference,
                                    _merge_reorder_reference,
                                    _place_data_reference, _prefix_of,
@@ -200,12 +201,17 @@ def test_merge_pieces_matches_reference(seed, npieces, nsegs, max_len):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_hotpath_configs_reproduce_pre_optimization_results(name):
-    """Every virtual-time metric must match the recorded pre-PR values."""
+    """Every virtual-time metric must match the recorded pre-PR values,
+    on the default path and in a per-message reference world (whose
+    event count is ``events_per_message`` where the walker moved it)."""
     ref = json.loads(REF.read_text())["configs"][name + "_smoke"]
+    want = {k: v for k, v in ref.items()
+            if k not in ("baseline_wall_s", "events_per_message")}
     got = run_config(name, smoke=True)
-    for field, want in ref.items():
-        if field == "baseline_wall_s":
-            continue
-        assert got[field] == want, (
-            f"{name}: {field} diverged from the pre-optimization "
-            f"reference ({got[field]!r} != {want!r})")
+    with _per_message_reference():
+        per_msg = run_config(name, smoke=True)
+    for run, events in ((got, ref["events"]),
+                        (per_msg, ref.get("events_per_message",
+                                          ref["events"]))):
+        assert run == {**want, "events": events}, (
+            f"{name}: diverged from the pre-optimization reference")

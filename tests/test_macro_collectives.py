@@ -1,7 +1,10 @@
-"""The macro backend's contract: bit-identical to detailed, far cheaper.
+"""The round walker's contract: bit-identical to per-message, far cheaper.
 
-Every test here runs the same rank program twice — once under the
-``detailed`` fidelity, once under ``macro`` — and compares *exactly*:
+``detailed`` replays synchronizing collectives through the round walker
+(``macro`` is an alias of it).  Every test here runs the same rank
+program twice — once in a per-message reference world
+(:func:`~repro.simmpi.world._per_message_reference`), once on the
+default ``detailed`` path — and compares *exactly*:
 per-rank results and exit times, end-of-run clock, network counters, and
 the full per-NIC ``(busy_until, busy_time, total_bytes,
 total_requests)`` state.  Float comparisons are ``==`` on purpose: the
@@ -31,6 +34,7 @@ from repro.sim.effects import Sleep
 from repro.sim.resources import ServiceProfile
 from repro.simmpi import World
 from repro.simmpi.reduce_ops import SUM
+from repro.simmpi.world import _per_message_reference
 
 
 def net_snapshot(world: World) -> dict:
@@ -56,11 +60,20 @@ def norm(x):
     return x
 
 
+def make_world(mode: str, p: int, cpn: int, reference: bool = False,
+               **kw) -> World:
+    """A world on the default path, or a per-message reference one."""
+    if reference:
+        with _per_message_reference():
+            return make_world(mode, p, cpn, **kw)
+    return World(MachineConfig(nprocs=p, cores_per_node=cpn),
+                 collective_mode=mode, **kw)
+
+
 def run_world(mode: str, p: int, cpn: int, program, profile_nodes=(),
-              topology=None, **net_kw):
-    world = World(MachineConfig(nprocs=p, cores_per_node=cpn),
-                  collective_mode=mode,
-                  net_params=NetworkParams(**net_kw), topology=topology)
+              topology=None, reference: bool = False, **net_kw):
+    world = make_world(mode, p, cpn, reference,
+                       net_params=NetworkParams(**net_kw), topology=topology)
     for node in profile_nodes:
         world.network.tx[node].profile = ServiceProfile(
             [(0.0, 1e-4, 0.25), (2e-4, 4e-4, 0.0)])
@@ -70,16 +83,16 @@ def run_world(mode: str, p: int, cpn: int, program, profile_nodes=(),
     return norm(results), net_snapshot(world)
 
 
-def assert_macro_matches_detailed(p, cpn, program, profile_nodes=(),
-                                  topology=None, **net_kw):
-    det = run_world("detailed", p, cpn, program,
+def assert_walker_matches_reference(p, cpn, program, profile_nodes=(),
+                                    topology=None, **net_kw):
+    ref = run_world("detailed", p, cpn, program,
+                    profile_nodes=profile_nodes, topology=topology,
+                    reference=True, **net_kw)
+    got = run_world("detailed", p, cpn, program,
                     profile_nodes=profile_nodes, topology=topology,
                     **net_kw)
-    mac = run_world("macro", p, cpn, program,
-                    profile_nodes=profile_nodes, topology=topology,
-                    **net_kw)
-    assert det[0] == mac[0], "per-rank results diverge"
-    assert det[1] == mac[1], "virtual-time / NIC state diverges"
+    assert ref[0] == got[0], "per-rank results diverge"
+    assert ref[1] == got[1], "virtual-time / NIC state diverges"
 
 
 def grid_program(kind: str, p: int, nb, skew: float):
@@ -119,7 +132,7 @@ KINDS = ["barrier", "allgather", "allgather_none", "alltoall",
 @pytest.mark.parametrize("p,cpn", [(2, 1), (5, 2), (8, 4), (13, 4)])
 @pytest.mark.parametrize("kind", KINDS)
 def test_grid_eager_with_skew(p, cpn, kind):
-    assert_macro_matches_detailed(p, cpn, grid_program(kind, p, 8, 3e-4))
+    assert_walker_matches_reference(p, cpn, grid_program(kind, p, 8, 3e-4))
 
 
 @pytest.mark.parametrize("kind", ["allgather", "alltoall", "allreduce",
@@ -128,8 +141,8 @@ def test_grid_eager_with_skew(p, cpn, kind):
 def test_grid_rendezvous_sizes(kind, nb):
     # 200000 bytes is far past the eager threshold: the walker must
     # replay the header/CTS/data rendezvous protocol, not just eager
-    assert_macro_matches_detailed(7, 3, grid_program(kind, 7, nb, 0.0))
-    assert_macro_matches_detailed(8, 4, grid_program(kind, 8, nb, 3e-4))
+    assert_walker_matches_reference(7, 3, grid_program(kind, 7, nb, 0.0))
+    assert_walker_matches_reference(8, 4, grid_program(kind, 8, nb, 3e-4))
 
 
 @pytest.mark.parametrize("p", [6, 13])
@@ -140,7 +153,7 @@ def test_grid_rendezvous_sizes(kind, nb):
 def test_torus_hop_latency(p, kind, nb):
     # hop_latency > 0 on a torus takes the per-pair wire_latency branch
     # of NetworkModel.transfer and of the rendezvous clear-to-send
-    assert_macro_matches_detailed(
+    assert_walker_matches_reference(
         p, 2, grid_program(kind, p, nb, 3e-4),
         topology=Torus3D((2, 2, 2)), hop_latency=2.5e-7)
 
@@ -169,7 +182,7 @@ def ragged_program(kind: str, p: int):
 @pytest.mark.parametrize("profile_nodes", [(), (0, 1)])
 @pytest.mark.parametrize("kind", ["alltoall", "rsb"])
 def test_ragged_sizes_straddle_eager_threshold(kind, profile_nodes):
-    assert_macro_matches_detailed(7, 2, ragged_program(kind, 7),
+    assert_walker_matches_reference(7, 2, ragged_program(kind, 7),
                                   profile_nodes=profile_nodes)
 
 
@@ -184,7 +197,7 @@ def test_back_to_back_mixed_rounds():
         c = yield from comm.allreduce(r, op=SUM)
         return comm.now, a, b, c
 
-    assert_macro_matches_detailed(8, 4, program)
+    assert_walker_matches_reference(8, 4, program)
 
 
 def test_disjoint_subcommunicators_overlap():
@@ -196,34 +209,33 @@ def test_disjoint_subcommunicators_overlap():
         b = yield from comm.allreduce(r, op=SUM, nbytes=8)
         return comm.now, a, b
 
-    assert_macro_matches_detailed(8, 2, program)
+    assert_walker_matches_reference(8, 2, program)
 
 
 def test_nic_fault_profiles_replay_bit_identically():
     # piecewise-degraded and stalled NICs exercise the profiled
     # reserve_span path of NetworkModel.transfer under the walker
-    assert_macro_matches_detailed(
+    assert_walker_matches_reference(
         6, 2, grid_program("alltoall", 6, 256, 3e-4),
         profile_nodes=(0, 1))
 
 
 def test_hybrid_sync_macro_matches_detailed():
     prog = grid_program("allreduce", 6, 8, 3e-4)
-    det = run_world("detailed", 6, 2, prog)
+    ref = run_world("detailed", 6, 2, prog, reference=True)
     hyb = run_world("hybrid:sync=macro,default=detailed", 6, 2, prog)
-    assert det == hyb
+    assert ref == hyb
 
 
 def test_sizethreshold_composes_with_macro_world():
-    # a sizethreshold world never calls macro, but a macro world must
-    # agree with detailed even when the workload straddles the eager
-    # threshold in both directions
+    # the walker must agree with the per-message reference even when
+    # the workload straddles the eager threshold in both directions
     def program(comm):
         a = yield from comm.allgather(comm.rank, nbytes=64)
         b = yield from comm.allgather(comm.rank, nbytes=1 << 16)
         return comm.now, a, b
 
-    assert_macro_matches_detailed(6, 3, program)
+    assert_walker_matches_reference(6, 3, program)
 
 
 def test_with_backend_per_handle_override():
@@ -236,9 +248,9 @@ def test_with_backend_per_handle_override():
 
         return program
 
-    det = run_world("detailed", 6, 2, make("detailed"))
+    ref = run_world("detailed", 6, 2, make("detailed"), reference=True)
     mac = run_world("detailed", 6, 2, make("macro"))
-    assert det == mac
+    assert ref == mac
 
 
 def test_size_one_comm_falls_back():
@@ -248,13 +260,13 @@ def test_size_one_comm_falls_back():
         b = yield from comm.barrier()
         return comm.now, a, b
 
-    assert_macro_matches_detailed(4, 2, program)
+    assert_walker_matches_reference(4, 2, program)
 
 
 def test_zero_latency_network_falls_back():
-    # latency == 0 breaks the walker's usability precondition; macro
-    # must detect it and run the detailed per-message path
-    assert_macro_matches_detailed(5, 2,
+    # latency == 0 breaks the walker's usability precondition; the
+    # walker must detect it and run the per-message schedule
+    assert_walker_matches_reference(5, 2,
                                   grid_program("allgather", 5, 8, 0.0),
                                   latency=0.0)
 
@@ -263,10 +275,10 @@ def test_zero_latency_network_falls_back():
 @pytest.mark.parametrize("kind", ["allgather", "alltoall", "allreduce",
                                   "rsb"])
 def test_negative_size_rejected(mode, kind):
-    world = World(MachineConfig(nprocs=4, cores_per_node=2),
-                  collective_mode=mode, net_params=NetworkParams())
-    with pytest.raises(MPIError, match="payload size"):
-        world.launch(grid_program(kind, 4, -1, 0.0))
+    for reference in (False, True):
+        world = make_world(mode, 4, 2, reference, net_params=NetworkParams())
+        with pytest.raises(MPIError, match="payload size"):
+            world.launch(grid_program(kind, 4, -1, 0.0))
 
 
 def test_mismatched_collectives_raise():
@@ -292,10 +304,9 @@ def test_macro_counters_increment():
 
 
 def test_macro_dispatches_fewer_events():
-    def count_events(mode):
-        world = World(MachineConfig(nprocs=16, cores_per_node=4),
-                      collective_mode=mode,
-                      net_params=NetworkParams())
+    def count_events(reference):
+        world = make_world("detailed", 16, 4, reference,
+                           net_params=NetworkParams())
 
         def program(comm):
             for _ in range(3):
@@ -306,7 +317,7 @@ def test_macro_dispatches_fewer_events():
         det = world.launch(program)
         return det, world.engine.effects_dispatched
 
-    det_res, det_events = count_events("detailed")
-    mac_res, mac_events = count_events("macro")
-    assert det_res == mac_res
-    assert mac_events < det_events / 4
+    ref_res, ref_events = count_events(True)
+    mac_res, mac_events = count_events(False)
+    assert ref_res == mac_res
+    assert mac_events < ref_events / 4

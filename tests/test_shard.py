@@ -197,3 +197,27 @@ class TestGuards:
         program = functools.partial(evil, _Lying())
         with pytest.raises(ShardError, match="crosses the shard"):
             run_experiment(config(2), program)
+
+    def test_hung_worker_ends_in_shard_error(self, monkeypatch):
+        # shard 1 stalls before reporting its first round: the
+        # coordinator must give up at the reply deadline, name the
+        # silent shard and terminate the workers, not block forever
+        import multiprocessing as mp
+        import time
+
+        from repro.shard import coordinator
+
+        real_worker = coordinator._worker_main
+
+        def stalling_worker(conn, sid, *args):
+            if sid == 1:
+                time.sleep(120)
+            return real_worker(conn, sid, *args)
+
+        monkeypatch.setattr(coordinator, "_REPLY_DEADLINE_S", 1.0)
+        monkeypatch.setattr(coordinator, "_worker_main", stalling_worker)
+        t0 = time.perf_counter()
+        with pytest.raises(ShardError, match="shard 1 sent no round report"):
+            run_experiment(config(2), parcoll_workload())
+        assert time.perf_counter() - t0 < 30
+        assert not mp.active_children()
