@@ -5,7 +5,7 @@ the per-category ``hybrid`` backend; this ablation validates both against
 the detailed model (real message schedules) on a workload all three can
 afford, and reports the event-count saving that justifies the cheaper
 backends at scale.  ``detailed`` runs on its default path (round walker,
-coalesced exchange sends); the ``detailed-per-message`` row is the same
+exchange sends per message); the ``detailed-per-message`` row is the same
 message schedule in a per-message reference world
 (:func:`repro.simmpi.world._per_message_reference`), one engine event
 per message.

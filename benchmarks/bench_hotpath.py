@@ -30,7 +30,7 @@ path one event stands for many messages, so it is no engine measure).
 
 Both modes also run the **walker equivalence gate**: every config is run
 under ``collective_mode='detailed'`` once on the default path (round
-walker, coalesced exchange sends) and once in a per-message reference
+walker) and once in a per-message reference
 world (:func:`repro.simmpi.world._per_message_reference`); all
 virtual-time metrics except the event count must match bit for bit, and
 the reference must reproduce a config's pinned ``events_per_message``.

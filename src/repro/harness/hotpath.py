@@ -119,7 +119,7 @@ def shard_scale_config(nprocs: int = 4096,
     FA subgroup cluster per shard, world-spanning collectives analytic
     (bridged across shards), everything inside a subgroup at
     ``detailed`` fidelity (synchronizing rounds on the round walker,
-    exchange sends coalesced).  At 4096 ranks a single engine carries
+    exchange sends per message).  At 4096 ranks a single engine carries
     every subgroup's stream; sharding splits it into independent
     per-subgroup streams, which is where the parallel speedup comes
     from.  ``BENCH_sharded_scaling.json`` records the wall times.

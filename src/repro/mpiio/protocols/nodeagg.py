@@ -176,7 +176,7 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
     forwarded = sum(int(s[1].sum()) for m, s in requests if m != comm.rank)
     if len(members) > 1:
         yield from _charge_memcpy(env, forwarded)
-    reply_batch: list = []
+    reply_reqs: list = []
     my_piece: Optional[np.ndarray] = None
     for src, sub_segs in requests:
         piece = (extract_data(union, union_prefix, union_data, sub_segs)
@@ -184,8 +184,8 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
         if src == comm.rank:
             my_piece = piece
             continue
-        reply_batch.append((src, Payload(int(sub_segs[1].sum()), piece)))
-    reply_reqs = comm.isend_batch(reply_batch, tag=NA_REP_TAG)
+        reply_reqs.append(comm.isend(Payload(int(sub_segs[1].sum()), piece),
+                                     src, tag=NA_REP_TAG))
     if reply_reqs:
         yield from comm.waitall(reply_reqs, category="exchange")
     if my_piece is None and verified:

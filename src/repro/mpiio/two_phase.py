@@ -354,7 +354,7 @@ def collective_write(env: IOEnv, segs: Segments,
         all_counts = yield from comm.alltoall(counts, nbytes_each=8,
                                               category="sync")
         # dispatch my pieces (local piece short-circuits the network)
-        batch: list = []
+        reqs: list = []
         local_piece = None
         for a, sub in send_lists.items():
             piece_data = None if model else extract_data(segs, prefix, data, sub)
@@ -364,9 +364,9 @@ def collective_write(env: IOEnv, segs: Segments,
             if aggs[a] == comm.rank:
                 local_piece = (sub, piece_data)
                 continue
-            batch.append((aggs[a], Payload(nbytes,
-                                           (sub[0], sub[1], piece_data))))
-        reqs = comm.isend_batch(batch, tag=TP_TAG + rnd)
+            reqs.append(comm.isend(Payload(nbytes,
+                                           (sub[0], sub[1], piece_data)),
+                                   aggs[a], tag=TP_TAG + rnd))
         if my_idx >= 0:
             yield from _aggregate_and_write(env, all_counts, local_piece,
                                             rnd, memcpy_bw, pending)
@@ -511,15 +511,15 @@ def collective_read(env: IOEnv, segs: Segments,
         # send my request lists to remote aggregators (translated if needed)
         sent_lists = (want_lists if translate is None
                       else {a: translate(sub) for a, sub in want_lists.items()})
-        req_batch: list = []
+        req_reqs: list = []
         local_want = None
         for a, sub in sent_lists.items():
             if aggs[a] == comm.rank:
                 local_want = sub
                 continue
             nbytes = SEG_HEADER_BYTES * sub[0].size
-            req_batch.append((aggs[a], Payload(nbytes, (sub[0], sub[1]))))
-        req_reqs = comm.isend_batch(req_batch, tag=TP_TAG + rnd)
+            req_reqs.append(comm.isend(Payload(nbytes, (sub[0], sub[1])),
+                                       aggs[a], tag=TP_TAG + rnd))
         local_reply = None
         reply_reqs: list = []
         if my_idx >= 0:
@@ -585,12 +585,13 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     verified = union_data is not None
     # replies go out as isends: a blocking (rendezvous) send here could
     # deadlock against a requester still waiting on another aggregator
-    reply_batch: list = []
+    reply_reqs: list = []
     for src, sub in requests:
         piece = (extract_data(union, union_prefix, union_data, sub)
                  if verified else None)
         if src == comm.rank:
             local_reply = piece
             continue
-        reply_batch.append((src, Payload(int(sub[1].sum()), piece)))
-    return local_reply, comm.isend_batch(reply_batch, tag=REPLY_TAG + rnd)
+        reply_reqs.append(comm.isend(Payload(int(sub[1].sum()), piece), src,
+                                     tag=REPLY_TAG + rnd))
+    return local_reply, reply_reqs

@@ -17,9 +17,9 @@ communicator participate):
    demands it.
 
 ParColl needs no coalescing code of its own: subgroup communicators
-inherit the parent's fidelity policy, so under ``detailed`` the
-per-subgroup ext2ph shuffle rides the same batched sends
-(``Communicator.isend_batch``) and walker rounds as the flat protocol.
+inherit the parent's fidelity policy, so under ``detailed`` each
+subgroup's ext2ph rounds take the same walker as the flat protocol,
+and its shuffle sends go per message as there.
 """
 
 from __future__ import annotations

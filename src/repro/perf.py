@@ -43,9 +43,9 @@ class PerfStats:
     segments_vectorized: int = 0
     #: window pieces produced by the all-rounds two-phase planner
     rounds_planned: int = 0
-    #: rounds whose message schedule was coalesced into closed form
+    #: collective rounds the round walker replayed in closed form
     macro_rounds: int = 0
-    #: per-message simulation steps replaced by macro schedules
+    #: messages those walker rounds carried (the only coalescing path)
     messages_coalesced: int = 0
     #: run-cache counters (populated by batch-level aggregation — the
     #: executor and the service fold :class:`~repro.harness.parallel.

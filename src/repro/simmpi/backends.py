@@ -9,10 +9,10 @@ Every collective invocation runs at one of two fidelities:
     the message schedule (:mod:`repro.simmpi.collectives_detailed`) —
     every tree/ring/pairwise message is simulated; synchronizing rounds
     replay it through the round walker
-    (:mod:`repro.simmpi.collectives_macro`) and exchange sends coalesce
-    (:meth:`~repro.simmpi.world.Communicator.isend_batch`), both
-    bit-identical to one engine event per message.  ``macro`` is an
-    alias of it.
+    (:mod:`repro.simmpi.collectives_macro`), bit-identical to one
+    engine event per message.  The walker is the only coalescing path:
+    point-to-point exchange sends go one message at a time under every
+    fidelity.  ``macro`` is an alias of it.
 
 A :class:`FidelityPolicy` is an ordered table of :class:`Rule` rows plus
 a default fidelity: the first rule matching a call's time-accounting

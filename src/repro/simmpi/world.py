@@ -19,7 +19,6 @@ from repro.cluster.machine import Machine, MachineConfig
 from repro.cluster.network import NetworkModel, NetworkParams
 from repro.cluster.topology import Torus3D
 from repro.errors import MPIError, ParCollError, TaskFailedError
-from repro.perf import perf_counters
 from repro.sim.effects import Sleep, WaitEvent
 from repro.sim.engine import _K_CALL1, _K_FIRE, Engine, Event
 from repro.simmpi import analytic, collectives_detailed as detailed
@@ -37,8 +36,8 @@ _per_message = False  # set by _per_message_reference; read once per World
 @contextmanager
 def _per_message_reference() -> Iterator[None]:
     """Worlds built inside run ``detailed`` one engine event per message,
-    without the round walker or coalesced exchange sends: the reference
-    the equivalence gates compare the default path against."""
+    without the round walker: the reference the equivalence gates
+    compare the default path against."""
     global _per_message
     prev, _per_message = _per_message, True
     try:
@@ -193,75 +192,6 @@ class World:
             eng._sched(hdr_arrival, _K_CALL1, self._deliver, msg)
         return send_event
 
-    def send_batch(self, src: int,
-                   entries: list[tuple[int, int, int, Payload]]
-                   ) -> list[Request]:
-        """Start many messages from one rank at once; returns requests.
-
-        ``entries`` are ``(dst, ctx, tag, payload)`` tuples in issue
-        order (world ranks).  Runs of consecutive eager-sized messages
-        coalesce: their NIC reservations go through one vectorized
-        :meth:`NetworkModel.transfer_batch`, one shared completion event
-        fires when the last byte leaves the sender, and the deliveries
-        drain through one rolling scheduler entry
-        (:meth:`Engine.schedule_batch`) in arrival order.  Rendezvous
-        payloads keep the per-message protocol — their schedule depends
-        on receiver matching, which is not known up-front.
-
-        Waiting on all returned requests completes at the same virtual
-        time as issuing ``len(entries)`` :meth:`send_message` calls in
-        the same order; callers must not depend on *individual* eager
-        request completions (they share one event).  Intended for
-        coalesced ``detailed`` exchange rounds, where per-round message
-        sets are static (:meth:`Communicator.isend_batch`).
-        """
-        eng = self.engine
-        net = self.network
-        nprocs = self.nprocs
-        requests: list[Request] = []
-        n = len(entries)
-        i = 0
-        coalesced = 0
-        while i < n:
-            dst = entries[i][0]
-            if not 0 <= dst < nprocs:
-                raise MPIError(f"destination rank {dst} out of range")
-            if entries[i][3].nbytes > self._eager_threshold:
-                dst, ctx, tag, payload = entries[i]
-                requests.append(
-                    Request(self.send_message_ev(src, dst, ctx, tag,
-                                                 payload)))
-                i += 1
-                continue
-            j = i
-            while (j < n and entries[j][3].nbytes <= self._eager_threshold):
-                if not 0 <= entries[j][0] < nprocs:
-                    raise MPIError(
-                        f"destination rank {entries[j][0]} out of range")
-                j += 1
-            run = entries[i:j]
-            frees, arrivals = net.transfer_batch(
-                src, [e[0] for e in run], [e[3].nbytes for e in run])
-            self._msg_seq += 1
-            ev = Event(eng, ("sendbatch", self._msg_seq, src))
-            msgs = []
-            for dst, ctx, tag, payload in run:
-                self._msg_seq += 1
-                msgs.append(Message(ctx, src, dst, tag, payload, False,
-                                    None, self._msg_seq))
-            eng._sched(float(frees.max()), _K_FIRE, ev, None)
-            order = np.argsort(arrivals, kind="stable")
-            eng.schedule_batch(
-                [(float(arrivals[k]), self._deliver, msgs[k])
-                 for k in order])
-            requests.append(Request(ev))
-            coalesced += len(run)
-            i = j
-        if coalesced:
-            perf_counters.macro_rounds += 1
-            perf_counters.messages_coalesced += coalesced
-        return requests
-
     def post_recv(self, dst: int, ctx: int, src: int, tag: int) -> Request:
         """Post a receive on rank ``dst``; request value is (payload, status)."""
         return Request(self.post_recv_ev(dst, ctx, src, tag))
@@ -294,12 +224,6 @@ class World:
                 self._rendezvous_cts(msg, pr.event)
         else:
             mbox.add_unexpected(msg)
-
-    def _complete_match(self, msg: Message, pr: PostedRecv) -> None:
-        if not msg.rendezvous:
-            pr.event.fire((msg.payload, msg))
-            return
-        self._rendezvous_cts(msg, pr.event)
 
     def _rendezvous_cts(self, msg: Message, event: Event) -> None:
         """Rendezvous match: clear-to-send travels back, then data moves."""
@@ -434,27 +358,6 @@ class Communicator:
         ctx = self.desc.ctx if _ctx is None else _ctx
         return self.world.send_message(self.proc.rank, self.world_rank(dest),
                                        ctx, tag, payload)
-
-    def isend_batch(self, items: list[tuple[int, Any]],
-                    tag: int = 0) -> list[Request]:
-        """:meth:`isend` of every ``(dest, payload)`` pair, in order.
-
-        When the communicator's ``exchange`` fidelity is ``detailed`` the
-        sends coalesce through :meth:`World.send_batch` (see its
-        contract) into one vectorized NIC schedule instead of
-        per-message events; under ``analytic`` — and in a per-message
-        reference world — each pair goes through :meth:`isend`.
-        """
-        if (not self.world._coalesce
-                or self.backend.fidelity("exchange", comm=self) != "detailed"):
-            return [self.isend(obj, dest, tag) for dest, obj in items]
-        ctx = self.desc.ctx
-        entries = [
-            (self.world_rank(dest),
-             ctx, tag, obj if isinstance(obj, Payload) else Payload.of(obj))
-            for dest, obj in items
-        ]
-        return self.world.send_batch(self.proc.rank, entries)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               _ctx: Optional[int] = None) -> Request:

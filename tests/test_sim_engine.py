@@ -256,3 +256,27 @@ def test_many_tasks_scale():
 
     eng.run_tasks([prog(i) for i in range(1000)])
     assert counter == list(range(1000))
+
+
+def test_lazy_tuple_task_and_event_names():
+    from repro.sim import Event, Spawn
+    from repro.sim.engine import _label
+
+    eng = Engine()
+    seen = {}
+
+    def child():
+        yield from ()
+        return "ok"
+
+    def prog():
+        task = yield Spawn(child(), ("pipelined-write", 3))
+        seen["name"] = task.name
+        ev = Event(eng, ("send-free", 1, 0))
+        ev.fire("v")
+        seen["event"] = _label(ev.name)
+        return None
+
+    eng.run_tasks([prog()])
+    assert seen["name"] == "pipelined-write:3"
+    assert seen["event"] == "send-free:1:0"
